@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Compact undirected weighted graph in CSR form (driver-side).
   *
   * Node ids are the original account ids; `ids` is sorted ascending and node
@@ -52,83 +50,141 @@ final class Graph private[core] (
     var e = offsets(v)
     while (e < offsets(v + 1)) { f(nbr(e), wgt(e)); e += 1 }
   }
-
-  /** Undirected edge list by account id (canonical src <= dst), self-loops
-    * included — the inverse of `Graph.fromEdges`, used for incremental merges.
-    */
-  def toEdges: IndexedSeq[(Long, Long, Double)] = {
-    val buf = IndexedSeq.newBuilder[(Long, Long, Double)]
-    var v = 0
-    while (v < n) {
-      if (self(v) > 0) buf += ((ids(v), ids(v), self(v)))
-      var e = offsets(v)
-      while (e < offsets(v + 1)) {
-        if (v < nbr(e)) buf += ((ids(v), ids(nbr(e)), wgt(e)))
-        e += 1
-      }
-      v += 1
-    }
-    buf.result()
-  }
 }
 
 object Graph {
 
+  /** The empty graph. */
+  val empty: Graph =
+    new Graph(0, Array.emptyLongArray, Array(0), Array.emptyIntArray, Array.emptyDoubleArray,
+              Array.emptyDoubleArray)
+
   /** Build from an undirected weighted edge list keyed by account id.
     * `(v, v, w)` entries are self-loops. Duplicate pairs (in either direction)
-    * are summed. Deterministic: nodes sorted by id, adjacency sorted by
-    * neighbor index.
+    * are summed in list order. Deterministic: nodes sorted by id, adjacency
+    * sorted by neighbor index.
     */
-  def fromEdges(edges: Iterable[(Long, Long, Double)]): Graph = {
-    // Canonicalize and aggregate.
-    val agg = new mutable.HashMap[(Long, Long), Double]
-    edges.foreach { case (a, b, w) =>
-      val key = if (a <= b) (a, b) else (b, a)
-      agg.update(key, agg.getOrElse(key, 0.0) + w)
-    }
-    val ids = agg.keysIterator.flatMap { case (a, b) => Iterator(a, b) }.toArray.distinct.sorted
-    val n = ids.length
-    val idx = new mutable.HashMap[Long, Int]
+  def fromEdges(edges: Iterable[(Long, Long, Double)]): Graph = merge(empty, edges)
+
+  /** Merge newly committed edges into an existing graph (A-TxAllo step). The
+    * result equals `fromEdges` of `g`'s input edges followed by `newEdges`.
+    */
+  def merge(g: Graph, newEdges: Iterable[(Long, Long, Double)]): Graph = {
+    val k = newEdges.size
+    val ends = new Array[Long](2 * k)
     var i = 0
-    while (i < n) { idx.update(ids(i), i); i += 1 }
+    newEdges.foreach { case (a, b, _) => ends(i) = a; ends(i + 1) = b; i += 2 }
+    val ids = sortedDistinct(Array.concat(g.ids, ends))
+    def index(id: Long): Int = java.util.Arrays.binarySearch(ids, id)
 
-    val self = new Array[Double](n)
-    val deg = new Array[Int](n)
-    val proper = agg.iterator.filter { case ((a, b), _) => a != b }.map { case ((a, b), w) =>
-      val u = idx(a); val v = idx(b)
-      deg(u) += 1; deg(v) += 1
-      (u, v, w)
-    }.toArray
-    agg.foreach { case ((a, b), w) => if (a == b) self(idx(a)) += w }
-
-    val offsets = new Array[Int](n + 1)
-    i = 0
-    while (i < n) { offsets(i + 1) = offsets(i) + deg(i); i += 1 }
-    val cursor = java.util.Arrays.copyOf(offsets, n)
-    val nbr = new Array[Int](proper.length * 2)
-    val wgt = new Array[Double](proper.length * 2)
-    proper.foreach { case (u, v, w) =>
-      nbr(cursor(u)) = v; wgt(cursor(u)) = w; cursor(u) += 1
-      nbr(cursor(v)) = u; wgt(cursor(v)) = w; cursor(v) += 1
-    }
-    // Sort each adjacency row by neighbor index for deterministic iteration.
-    var v = 0
-    while (v < n) {
-      val lo = offsets(v); val hi = offsets(v + 1)
-      val order = (lo until hi).sortBy(nbr)
-      val nn = order.map(nbr).toArray
-      val ww = order.map(wgt).toArray
-      System.arraycopy(nn, 0, nbr, lo, nn.length)
-      System.arraycopy(ww, 0, wgt, lo, ww.length)
-      v += 1
-    }
-    new Graph(n, ids, offsets, nbr, wgt, self)
+    // g's own edges first, then the new ones: the list `fromEdges` would see
+    // for the whole input.
+    val (src, dst, w) = edgeList(g, Array.tabulate(g.n)(v => index(g.ids(v))), k)
+    i = src.length - k
+    newEdges.foreach { case (a, b, x) => src(i) = index(a); dst(i) = index(b); w(i) = x; i += 1 }
+    build(ids, src, dst, w)
   }
 
-  /** Merge newly committed edges into an existing graph (A-TxAllo step). */
-  def merge(g: Graph, newEdges: Iterable[(Long, Long, Double)]): Graph =
-    fromEdges(g.toEdges ++ newEdges)
+  /** Quotient graph: node v of `g` becomes node `label(v)` of `nc` nodes.
+    * Weight between two groups is summed into one edge; weight inside a group
+    * (member self-loops included) becomes the group's self-loop.
+    */
+  private[repro] def quotient(g: Graph, label: Array[Int], nc: Int): Graph = {
+    val (src, dst, w) = edgeList(g, label, 0)
+    build(Array.tabulate(nc)(_.toLong), src, dst, w)
+  }
 
-  /** The empty graph. */
-  val empty: Graph = fromEdges(Nil)
+  /** `g`'s edges as an index list with node v renamed `label(v)`, plus
+    * `extra` unfilled entries at the end. Per node in ascending order: its
+    * self-loop, then its arcs to higher indices.
+    */
+  private def edgeList(g: Graph, label: Array[Int],
+                       extra: Int): (Array[Int], Array[Int], Array[Double]) = {
+    val m = g.n + g.nbr.length / 2 + extra
+    val src = new Array[Int](m)
+    val dst = new Array[Int](m)
+    val w = new Array[Double](m)
+    var i = 0
+    var v = 0
+    while (v < g.n) {
+      val lv = label(v)
+      src(i) = lv; dst(i) = lv; w(i) = g.self(v); i += 1
+      g.foreachNbr(v) { (u, wu) =>
+        if (v < u) { src(i) = lv; dst(i) = label(u); w(i) = wu; i += 1 }
+      }
+      v += 1
+    }
+    (src, dst, w)
+  }
+
+  /** The one edge-aggregation primitive: the CSR graph over `ids` of the
+    * index list (`src`, `dst`, `w`).
+    *
+    * Entries with `src == dst` are self-loops and go to `self`; every other
+    * entry is an undirected edge stored in both adjacency rows. Duplicates are
+    * summed in the order they arrive (from 0.0, in list order), so a caller
+    * that emits the same list gets bit-identical weights — which is what
+    * makes mappings reproducible and a merged graph equal a scratch build.
+    * Each row is sorted by neighbor index.
+    */
+  private[repro] def build(ids: Array[Long], src: Array[Int], dst: Array[Int],
+                           w: Array[Double]): Graph = {
+    val n = ids.length
+    val m = src.length
+    val self = new Array[Double](n)
+    val rowStart = new Array[Int](n + 1)
+    var i = 0
+    while (i < m) {
+      if (src(i) == dst(i)) self(src(i)) += w(i)
+      else { rowStart(src(i) + 1) += 1; rowStart(dst(i) + 1) += 1 }
+      i += 1
+    }
+    var v = 0
+    while (v < n) { rowStart(v + 1) += rowStart(v); v += 1 }
+
+    // Scatter (neighbor, list position) keys into rows; sorting a row then
+    // puts duplicates next to each other in list order.
+    val cursor = java.util.Arrays.copyOf(rowStart, n)
+    val keys = new Array[Long](rowStart(n))
+    i = 0
+    while (i < m) {
+      val s = src(i); val d = dst(i)
+      if (s != d) {
+        keys(cursor(s)) = (d.toLong << 32) | i; cursor(s) += 1
+        keys(cursor(d)) = (s.toLong << 32) | i; cursor(d) += 1
+      }
+      i += 1
+    }
+
+    val offsets = new Array[Int](n + 1)
+    val nbr = new Array[Int](keys.length)
+    val wgt = new Array[Double](keys.length)
+    var e = 0
+    v = 0
+    while (v < n) {
+      java.util.Arrays.sort(keys, rowStart(v), rowStart(v + 1))
+      var t = rowStart(v)
+      while (t < rowStart(v + 1)) {
+        val u = (keys(t) >>> 32).toInt
+        if (e == offsets(v) || nbr(e - 1) != u) { nbr(e) = u; e += 1 }
+        wgt(e - 1) += w(keys(t).toInt)
+        t += 1
+      }
+      offsets(v + 1) = e
+      v += 1
+    }
+    new Graph(n, ids, offsets, java.util.Arrays.copyOf(nbr, e), java.util.Arrays.copyOf(wgt, e), self)
+  }
+
+  /** `xs` sorted ascending with duplicates removed (sorts `xs` in place). */
+  private def sortedDistinct(xs: Array[Long]): Array[Long] = {
+    java.util.Arrays.sort(xs)
+    var n = 0
+    var i = 0
+    while (i < xs.length) {
+      if (n == 0 || xs(n - 1) != xs(i)) { xs(n) = xs(i); n += 1 }
+      i += 1
+    }
+    java.util.Arrays.copyOf(xs, n)
+  }
 }

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Deterministic multilevel Louvain community detection (paper Section V-B
   * initialization; Blondel et al. 2008).
   *
@@ -30,7 +28,7 @@ object Louvain {
       if (nc == cur.n) done = true
       else {
         mapping = mapping.map(labels)
-        cur = coarsen(cur, labels, nc)
+        cur = Graph.quotient(cur, labels, nc)
         level += 1
       }
     }
@@ -110,36 +108,11 @@ object Louvain {
 
   /** Relabel to 0..l-1 in order of first occurrence (ascending node index). */
   private[core] def compact(comm: Array[Int]): Array[Int] = {
-    val map = new mutable.HashMap[Int, Int]
-    comm.map(c => map.getOrElseUpdate(c, map.size))
-  }
-
-  /** Aggregate communities into supernodes: intra weight (plus member
-    * self-loops) becomes the supernode's self-loop; inter-community weights
-    * are summed.
-    */
-  private def coarsen(g: Graph, labels: Array[Int], nc: Int): Graph = {
-    val selfC = new Array[Double](nc)
-    val inter = new mutable.HashMap[(Long, Long), Double]
-    var v = 0
-    while (v < g.n) {
-      val cv = labels(v)
-      selfC(cv) += g.self(v)
-      g.foreachNbr(v) { (u, w) =>
-        if (u > v) {
-          val cu = labels(u)
-          if (cu == cv) selfC(cv) += w
-          else {
-            val key = if (cv <= cu) (cv.toLong, cu.toLong) else (cu.toLong, cv.toLong)
-            inter.update(key, inter.getOrElse(key, 0.0) + w)
-          }
-        }
-      }
-      v += 1
+    val label = Array.fill(if (comm.isEmpty) 0 else comm.max + 1)(-1)
+    var next = 0
+    comm.map { c =>
+      if (label(c) < 0) { label(c) = next; next += 1 }
+      label(c)
     }
-    val edges =
-      (0 until nc).map(c => (c.toLong, c.toLong, selfC(c))) ++
-        inter.iterator.map { case ((a, b), w) => (a, b, w) }
-    Graph.fromEdges(edges)
   }
 }

@@ -1,22 +1,25 @@
 package repro.metis
 
-import scala.collection.mutable
+import repro.core.Graph
 
 /** Coarsening phase: deterministic heavy-edge matching (METIS HEM).
   *
   * Nodes are visited in ascending index; an unmatched node is matched with
   * its unmatched neighbor of maximal edge weight (ties: lowest index). The
   * matched pair becomes one coarse node whose vertex weight is the sum and
-  * whose adjacency is the aggregated union (intra-pair edges vanish — edge
-  * cut only ever shrinks under coarsening).
+  * whose adjacency is the aggregated union (`Graph.quotient`). Intra-pair
+  * edges leave the adjacency for the coarse node's self-loop, which the
+  * partitioner never reads — edge cut only ever shrinks under coarsening.
   */
 object Coarsening {
 
-  /** One matching pass. Returns the coarse graph and the fine->coarse map.
-    * `maxNodeW` caps the merged vertex weight (METIS's maxvwgt), preventing
-    * heavy hubs from snowballing into un-balanceable coarse nodes.
+  /** One matching pass over `g` with vertex weights `nodeW`. Returns the
+    * coarse graph, its vertex weights and the fine->coarse map. `maxNodeW`
+    * caps the merged vertex weight (METIS's maxvwgt), preventing heavy hubs
+    * from snowballing into un-balanceable coarse nodes.
     */
-  def coarsenOnce(g: WGraph, maxNodeW: Double = Double.PositiveInfinity): (WGraph, Array[Int]) = {
+  def coarsenOnce(g: Graph, nodeW: Array[Double],
+                  maxNodeW: Double = Double.PositiveInfinity): (Graph, Array[Double], Array[Int]) = {
     val map = Array.fill(g.n)(-1)
     var nc = 0
     var v = 0
@@ -25,7 +28,7 @@ object Coarsening {
         var best = -1
         var bestW = 0.0
         g.foreachNbr(v) { (u, w) =>
-          if (u != v && map(u) < 0 && g.nodeW(v) + g.nodeW(u) <= maxNodeW &&
+          if (u != v && map(u) < 0 && nodeW(v) + nodeW(u) <= maxNodeW &&
               (w > bestW + 1e-15 || (math.abs(w - bestW) <= 1e-15 && best >= 0 && u < best)))
             { best = u; bestW = w }
         }
@@ -36,56 +39,31 @@ object Coarsening {
       v += 1
     }
 
-    // Aggregate coarse adjacency and node weights.
-    val nodeW = new Array[Double](nc)
+    val coarseW = new Array[Double](nc)
     v = 0
-    while (v < g.n) { nodeW(map(v)) += g.nodeW(v); v += 1 }
+    while (v < g.n) { coarseW(map(v)) += nodeW(v); v += 1 }
 
-    val adj = Array.fill(nc)(new mutable.TreeMap[Int, Double]())
-    v = 0
-    while (v < g.n) {
-      val cv = map(v)
-      g.foreachNbr(v) { (u, w) =>
-        val cu = map(u)
-        if (cu != cv && u > v) {
-          adj(cv).update(cu, adj(cv).getOrElse(cu, 0.0) + w)
-          adj(cu).update(cv, adj(cu).getOrElse(cv, 0.0) + w)
-        }
-      }
-      v += 1
-    }
-    val offsets = new Array[Int](nc + 1)
-    var c = 0
-    while (c < nc) { offsets(c + 1) = offsets(c) + adj(c).size; c += 1 }
-    val nbr = new Array[Int](offsets(nc))
-    val wgt = new Array[Double](offsets(nc))
-    c = 0
-    while (c < nc) {
-      var e = offsets(c)
-      adj(c).foreach { case (u, w) => nbr(e) = u; wgt(e) = w; e += 1 }
-      c += 1
-    }
-    (WGraph(nc, offsets, nbr, wgt, nodeW), map)
+    (Graph.quotient(g, map, nc), coarseW, map)
   }
 
   /** Coarsen until `targetN` nodes or the matching stalls (< 5% shrink).
-    * Returns the level stack: (graphs, fine->coarse maps), finest first.
+    * Returns the level stack: ((graph, vertex weights) per level, fine->coarse
+    * maps), finest first.
     */
-  def coarsen(g: WGraph, targetN: Int,
-              maxNodeW: Double = Double.PositiveInfinity): (List[WGraph], List[Array[Int]]) = {
-    var graphs = List(g)
+  def coarsen(g: Graph, nodeW: Array[Double], targetN: Int,
+              maxNodeW: Double = Double.PositiveInfinity): (List[(Graph, Array[Double])], List[Array[Int]]) = {
+    var levels = List((g, nodeW))
     var maps = List.empty[Array[Int]]
-    var cur = g
     var stalled = false
-    while (cur.n > targetN && !stalled) {
-      val (coarse, map) = coarsenOnce(cur, maxNodeW)
+    while (levels.head._1.n > targetN && !stalled) {
+      val (cur, curW) = levels.head
+      val (coarse, coarseW, map) = coarsenOnce(cur, curW, maxNodeW)
       if (coarse.n >= cur.n * 0.95) stalled = true
       else {
-        graphs = coarse :: graphs
+        levels = (coarse, coarseW) :: levels
         maps = map :: maps
-        cur = coarse
       }
     }
-    (graphs.reverse, maps.reverse) // finest first; maps(i): graphs(i) -> graphs(i+1)
+    (levels.reverse, maps.reverse) // finest first; maps(i): levels(i) -> levels(i+1)
   }
 }

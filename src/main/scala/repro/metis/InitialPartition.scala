@@ -1,5 +1,7 @@
 package repro.metis
 
+import repro.core.Graph
+
 /** Initial partitioning of the coarsest graph: greedy weighted seeding.
   *
   * Coarse nodes are placed in descending vertex-weight order (ties: lower
@@ -11,11 +13,11 @@ package repro.metis
   */
 object InitialPartition {
 
-  def seed(g: WGraph, k: Int, imbalance: Double): Array[Int] = {
+  def seed(g: Graph, nodeW: Array[Double], k: Int, imbalance: Double): Array[Int] = {
     val part = Array.fill(g.n)(-1)
     val load = new Array[Double](k)
-    val cap = g.totalNodeW / k * (1.0 + imbalance)
-    val order = (0 until g.n).sortBy(v => (-g.nodeW(v), v))
+    val cap = nodeW.sum / k * (1.0 + imbalance)
+    val order = (0 until g.n).sortBy(v => (-nodeW(v), v))
     val conn = new Array[Double](k)
 
     order.foreach { v =>
@@ -24,7 +26,7 @@ object InitialPartition {
       var best = -1
       var p = 0
       while (p < k) {
-        if (load(p) + g.nodeW(v) <= cap) {
+        if (load(p) + nodeW(v) <= cap) {
           if (best < 0 || conn(p) > conn(best) + 1e-12 ||
               (math.abs(conn(p) - conn(best)) <= 1e-12 && load(p) < load(best) - 1e-12))
             best = p
@@ -37,7 +39,7 @@ object InitialPartition {
         while (p < k) { if (load(p) < load(best)) best = p; p += 1 }
       }
       part(v) = best
-      load(best) += g.nodeW(v)
+      load(best) += nodeW(v)
     }
     part
   }

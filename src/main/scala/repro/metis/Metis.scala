@@ -19,22 +19,26 @@ object Metis {
     if (g.n == 0) return Array.emptyIntArray
     if (k == 1) return new Array[Int](g.n)
 
-    val wg = WGraph.fromGraph(g)
+    // Vertex weight is *activity* (W_v + 2 w_vv, the account's total
+    // transaction involvement): METIS balances it, NOT the blockchain
+    // workload, which is the mismatch the paper criticizes (Section II-C).
+    val nodeW = Array.tabulate(g.n)(v => g.strength(v) + 2 * g.self(v))
     val targetN = math.max(4 * k, 128)
     // METIS maxvwgt: coarse nodes stay individually balanceable.
-    val maxNodeW = wg.totalNodeW / (3.0 * k)
-    val (graphs, maps) = Coarsening.coarsen(wg, targetN, maxNodeW)
+    val maxNodeW = nodeW.sum / (3.0 * k)
+    val (levels, maps) = Coarsening.coarsen(g, nodeW, targetN, maxNodeW)
 
-    var part = InitialPartition.seed(graphs.last, k, imbalance)
-    part = Refinement.refine(graphs.last, part, k, imbalance)
+    val (coarsest, coarsestW) = levels.last
+    var part = InitialPartition.seed(coarsest, coarsestW, k, imbalance)
+    part = Refinement.refine(coarsest, coarsestW, part, k, imbalance)
 
-    // Uncoarsen: project through each level (maps(i): graphs(i)->graphs(i+1)).
-    var i = graphs.length - 2
+    // Uncoarsen: project through each level (maps(i): levels(i)->levels(i+1)).
+    var i = levels.length - 2
     while (i >= 0) {
-      val fine = graphs(i)
+      val (fine, fineW) = levels(i)
       val map = maps(i)
       val projected = Array.tabulate(fine.n)(v => part(map(v)))
-      part = Refinement.refine(fine, projected, k, imbalance)
+      part = Refinement.refine(fine, fineW, projected, k, imbalance)
       i -= 1
     }
     part

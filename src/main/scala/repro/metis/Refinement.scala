@@ -1,5 +1,7 @@
 package repro.metis
 
+import repro.core.Graph
+
 /** Uncoarsening refinement: FM-style greedy boundary moves.
   *
   * Sweeps nodes in ascending index; a node moves to the neighboring part with
@@ -10,12 +12,12 @@ package repro.metis
   */
 object Refinement {
 
-  def refine(g: WGraph, part: Array[Int], k: Int, imbalance: Double,
+  def refine(g: Graph, nodeW: Array[Double], part: Array[Int], k: Int, imbalance: Double,
              maxSweeps: Int = 5): Array[Int] = {
-    val cap = g.totalNodeW / k * (1.0 + imbalance)
+    val cap = nodeW.sum / k * (1.0 + imbalance)
     val load = new Array[Double](k)
     var v = 0
-    while (v < g.n) { load(part(v)) += g.nodeW(v); v += 1 }
+    while (v < g.n) { load(part(v)) += nodeW(v); v += 1 }
 
     val conn = new Array[Double](k)
     val touched = new Array[Int](k)
@@ -41,7 +43,7 @@ object Refinement {
         var bestGain = if (overloaded) Double.NegativeInfinity else 0.0
         var q = 0
         while (q < k) {
-          if (q != p && load(q) + g.nodeW(v) <= cap && (overloaded || conn(q) > 0)) {
+          if (q != p && load(q) + nodeW(v) <= cap && (overloaded || conn(q) > 0)) {
             val gain = conn(q) - conn(p)
             if (gain > bestGain + 1e-12 ||
                 (best >= 0 && math.abs(gain - bestGain) <= 1e-12 && load(q) < load(best) - 1e-12))
@@ -52,9 +54,9 @@ object Refinement {
         var t = 0
         while (t < nt) { conn(touched(t)) = 0.0; t += 1 }
         conn(p) = 0.0
-        if (best >= 0 && (bestGain > 0 || (overloaded && load(p) - g.nodeW(v) >= load(best)))) {
-          load(p) -= g.nodeW(v)
-          load(best) += g.nodeW(v)
+        if (best >= 0 && (bestGain > 0 || (overloaded && load(p) - nodeW(v) >= load(best)))) {
+          load(p) -= nodeW(v)
+          load(best) += nodeW(v)
           part(v) = best
           moved = true
         }

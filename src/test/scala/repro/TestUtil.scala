@@ -63,6 +63,12 @@ object TestUtil {
     Graph.fromEdges(edges.result())
   }
 
+  /** Array-for-array equality of two graphs, `==` on every weight. */
+  def sameGraph(a: Graph, b: Graph): Boolean =
+    a.n == b.n && a.ids.sameElements(b.ids) && a.offsets.sameElements(b.offsets) &&
+      a.nbr.sameElements(b.nbr) && a.wgt.sameElements(b.wgt) && a.self.sameElements(b.self) &&
+      a.strength.sameElements(b.strength)
+
   /** Population standard deviation. */
   def stddev(xs: Seq[Double]): Double = {
     val mean = xs.sum / xs.size

@@ -66,16 +66,10 @@ class GraphSpec extends AnyFunSuite {
     assert(seen.toSet == Set((g3.indexOf(1L), 1.0), (g3.indexOf(3L), 2.0)))
   }
 
-  test("toEdges/fromEdges round-trips") {
-    val g = TestUtil.randomGraph(40, 150, 8, seed = 2)
-    val g2 = Graph.fromEdges(g.toEdges)
-    assert(g2.n == g.n)
-    assert(g2.ids.toSeq == g.ids.toSeq)
-    assert(math.abs(g2.totalWeight - g.totalWeight) < 1e-9)
-    (0 until g.n).foreach { v =>
-      assert(math.abs(g2.strength(v) - g.strength(v)) < 1e-9)
-      assert(math.abs(g2.self(v) - g.self(v)) < 1e-9)
-    }
+  test("duplicates are summed in input order") {
+    // In list order 1e16 absorbs the 1.0, and the -1e16 then cancels to 0.
+    val g = Graph.fromEdges(Seq((1L, 2L, 1e16), (2L, 1L, 1.0), (1L, 2L, -1e16)))
+    assert(g.wgt.toSeq == Seq(0.0, 0.0))
   }
 
   test("merge sums overlapping edges and adds new nodes") {
@@ -91,7 +85,6 @@ class GraphSpec extends AnyFunSuite {
   test("empty graph") {
     assert(Graph.empty.n == 0)
     assert(Graph.empty.totalWeight == 0.0)
-    assert(Graph.empty.toEdges.isEmpty)
   }
 
   for (seed <- 1 to 10) {

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestUtil
 import repro.eval.Latency
 
 /** ScalaCheck properties for the numeric kernels (raw ScalaCheck runner — the
@@ -30,12 +31,16 @@ class PropertySpec extends AnyFunSuite {
     })
   }
 
-  test("graph round-trips through toEdges") {
-    check("roundtrip", Prop.forAll(genEdges) { edges =>
+  test("merging no edges returns the same graph") {
+    check("merge-nil", Prop.forAll(genEdges) { edges =>
       val g = Graph.fromEdges(edges)
-      val g2 = Graph.fromEdges(g.toEdges)
-      g2.n == g.n && math.abs(g2.totalWeight - g.totalWeight) < 1e-6 &&
-      (0 until g.n).forall(v => math.abs(g2.strength(v) - g.strength(v)) < 1e-6)
+      TestUtil.sameGraph(Graph.merge(g, Nil), g)
+    })
+  }
+
+  test("a merged graph equals the graph built from scratch") {
+    check("merge-scratch", Prop.forAll(genEdges, genEdges) { (a, b) =>
+      TestUtil.sameGraph(Graph.merge(Graph.fromEdges(a), b), Graph.fromEdges(a ++ b))
     })
   }
 

@@ -7,6 +7,10 @@ import repro.core.{Graph, GraphMetrics}
 /** METIS-like multilevel partitioner: invariants, balance, cut quality. */
 class MetisSpec extends AnyFunSuite {
 
+  /** The vertex weight `Metis.partition` balances: W_v + 2 w_vv. */
+  private def activity(g: Graph): Array[Double] =
+    Array.tabulate(g.n)(v => g.strength(v) + 2 * g.self(v))
+
   test("produces a complete partition with shards in [0, k)") {
     val (g, _) = TestUtil.planted(6, 15, 40, 30)
     val part = Metis.partition(g, 4)
@@ -48,49 +52,48 @@ class MetisSpec extends AnyFunSuite {
 
   test("vertex-weight balance holds up to the cap plus one node") {
     val (g, _) = TestUtil.planted(8, 15, 40, 30, seed = 17)
-    val wg = WGraph.fromGraph(g)
+    val nodeW = activity(g)
     val k = 4
     val part = Metis.partition(g, k, imbalance = 0.05)
     val loads = new Array[Double](k)
-    (0 until g.n).foreach(v => loads(part(v)) += wg.nodeW(v))
-    val cap = wg.totalNodeW / k * 1.05
-    val maxNode = wg.nodeW.max
+    (0 until g.n).foreach(v => loads(part(v)) += nodeW(v))
+    val cap = nodeW.sum / k * 1.05
+    val maxNode = nodeW.max
     loads.foreach(l => assert(l <= cap + maxNode + 1e-9, s"load $l exceeds cap $cap"))
   }
 
   test("coarsening conserves total vertex weight and shrinks the graph") {
     val g = TestUtil.randomGraph(100, 400, 10, seed = 3)
-    val wg = WGraph.fromGraph(g)
-    val (coarse, map) = Coarsening.coarsenOnce(wg)
-    assert(coarse.n < wg.n)
-    assert(math.abs(coarse.totalNodeW - wg.totalNodeW) < 1e-9)
+    val nodeW = activity(g)
+    val (coarse, coarseW, map) = Coarsening.coarsenOnce(g, nodeW)
+    assert(coarse.n < g.n)
+    assert(math.abs(coarseW.sum - nodeW.sum) < 1e-9)
     map.foreach(c => assert(c >= 0 && c < coarse.n))
   }
 
   test("coarsening level stack maps line up") {
     val g = TestUtil.randomGraph(200, 800, 10, seed = 4)
-    val (graphs, maps) = Coarsening.coarsen(WGraph.fromGraph(g), targetN = 32)
-    assert(graphs.length == maps.length + 1)
+    val (levels, maps) = Coarsening.coarsen(g, activity(g), targetN = 32)
+    assert(levels.length == maps.length + 1)
     maps.zipWithIndex.foreach { case (m, i) =>
-      assert(m.length == graphs(i).n)
-      m.foreach(c => assert(c >= 0 && c < graphs(i + 1).n))
+      assert(m.length == levels(i)._1.n)
+      m.foreach(c => assert(c >= 0 && c < levels(i + 1)._1.n))
     }
   }
 
   test("refinement never increases the cut") {
     val g = TestUtil.randomGraph(80, 350, 5, seed = 6)
-    val wg = WGraph.fromGraph(g)
     val rnd = new scala.util.Random(2)
     val start = Array.fill(g.n)(rnd.nextInt(4))
-    val before = wg.cut(start)
-    val after = wg.cut(Refinement.refine(wg, start.clone(), 4, 0.05))
+    val before = GraphMetrics.cutRatio(g, start)
+    val after = GraphMetrics.cutRatio(g, Refinement.refine(g, activity(g), start.clone(), 4, 0.05))
     assert(after <= before + 1e-9, s"cut went up: $before -> $after")
   }
 
   test("initial partition respects the feasibility cap when possible") {
-    val wg = WGraph(4, Array(0, 0, 0, 0, 0), Array.emptyIntArray, Array.emptyDoubleArray,
-                    Array(1.0, 1.0, 1.0, 1.0))
-    val part = InitialPartition.seed(wg, 2, imbalance = 0.0)
+    val g = Graph.build(Array(0L, 1L, 2L, 3L), Array.emptyIntArray, Array.emptyIntArray,
+                        Array.emptyDoubleArray)
+    val part = InitialPartition.seed(g, Array(1.0, 1.0, 1.0, 1.0), 2, imbalance = 0.0)
     val loads = new Array[Double](2)
     (0 until 4).foreach(v => loads(part(v)) += 1.0)
     assert(loads.toSeq == Seq(2.0, 2.0))
