@@ -12,7 +12,7 @@ import scala.collection.mutable
   *   - the *anchor* is the involved account with the highest activity (ties:
   *     lower account id); its shard is the preferred target (co-location cuts
   *     cross-shard transactions);
-  *   - if the preferred shard's activity load exceeds `bufferRatio * mean`,
+  *   - if the preferred shard's activity load exceeds the mean (buffer ratio 1),
   *     the globally least-loaded shard is used instead — the load criterion
   *     that gives Shard Scheduler its near-flat workload profile (Fig. 4c);
   *   - new accounts are placed on the target; existing non-anchor accounts
@@ -28,8 +28,7 @@ object ShardScheduler {
     *             the online criterion is activity-based)
     * @return (mapping account -> shard, wall-clock millis)
     */
-  def allocate(txs: Iterator[(Long, Array[Long])], k: Int, eta: Double,
-               bufferRatio: Double = 1.0): (Map[Long, Int], Long) = {
+  def allocate(txs: Iterator[(Long, Array[Long])], k: Int, eta: Double): (Map[Long, Int], Long) = {
     require(eta >= 1.0, "eta must be >= 1")
     val t0 = System.nanoTime()
     val shardOf = new mutable.HashMap[Long, Int]
@@ -62,7 +61,7 @@ object ShardScheduler {
       val preferred =
         if (existing.isEmpty) leastLoaded
         else shardOf(existing.maxBy(a => (activity.getOrElse(a, 0L), -a)))
-      val cap = bufferRatio * math.max(totalAct / k, 1.0)
+      val cap = math.max(totalAct / k, 1.0) // buffer ratio 1
       val target = if (load(preferred) > cap) leastLoaded else preferred
 
       accounts.foreach { a =>

@@ -5,8 +5,10 @@ package repro.core
   * Inputs: the *current* full transaction graph (previous history merged with
   * the newly committed blocks), the previous account-shard mapping, and the
   * set V-hat of accounts appearing in the new blocks. Only new accounts are
-  * join-allocated (Eq. 6) and only V-hat nodes are re-optimized (Eq. 8), so
-  * the running time is O(|V-hat| * k) — constant per step as the chain grows.
+  * join-allocated (Eq. 6) and only new and V-hat nodes are re-optimized
+  * (Eq. 8). The paper's step costs O(|V-hat| * k); this one does not yet: it
+  * seeds by scanning all n nodes through the `Map`, and every sweep ends with
+  * an O(|E|) `recompute()`, so a step grows with the history (ROADMAP item 4).
   */
 object ATxAllo {
 
@@ -29,27 +31,9 @@ object ATxAllo {
       }
       v += 1
     }
-    st.recompute()
 
-    // Algorithm 2 lines 1-8: join-allocate new nodes (ascending account id).
-    val newNodes = (0 until g.n).filter(st.comm(_) == AllocState.Unassigned)
-    MoveLoop.joinPhase(st, newNodes)
-    st.recompute()
-    val initThroughput = st.totalThroughput
-
-    // Algorithm 2 lines 9-17: optimize over V-hat only.
-    val activeIdx =
-      ((newNodes.iterator ++ active.iterator.map(g.indexOf).filter(_ >= 0))
-        .toArray.distinct.sorted)
-    val sweeps = MoveLoop.optimize(st, activeIdx)
-    st.recompute()
-
-    AllocResult(
-      ids = g.ids,
-      assign = st.comm.clone(),
-      initThroughput = initThroughput,
-      finalThroughput = st.totalThroughput,
-      sweeps = sweeps,
-      millis = (System.nanoTime() - t0) / 1000000L)
+    val newNodes = (0 until g.n).iterator.filter(st.comm(_) == AllocState.Unassigned)
+    val order = (newNodes ++ active.iterator.map(g.indexOf).filter(_ >= 0)).toArray.distinct.sorted
+    st.allocate(order, t0)
   }
 }

@@ -39,21 +39,4 @@ object GraphMetrics {
     }
     cut / g.totalWeight
   }
-
-  /** Per-community graph workloads sigma_i (Eq. 5) for a full assignment. */
-  def workloads(g: Graph, assign: Array[Int], k: Int, eta: Double): Array[Double] = {
-    val sigma = new Array[Double](k)
-    var v = 0
-    while (v < g.n) {
-      sigma(assign(v)) += g.self(v)
-      g.foreachNbr(v) { (u, w) =>
-        if (u > v) {
-          if (assign(u) == assign(v)) sigma(assign(v)) += w
-          else { sigma(assign(v)) += eta * w; sigma(assign(u)) += eta * w }
-        }
-      }
-      v += 1
-    }
-    sigma
-  }
 }

@@ -1,7 +1,9 @@
 package repro.core
 
-/** Mutable account-shard assignment state with the paper's incremental
-  * throughput-gain equations (Eqs. 3, 5-8 and Lemma 1).
+/** The move engine of G- and A-TxAllo: mutable account-shard assignment state
+  * with the paper's incremental throughput-gain equations (Eqs. 3, 5-8 and
+  * Lemma 1), and the join phase and optimization sweeps both algorithms end
+  * with (`allocate`).
   *
   * Per community i the state tracks:
   *   - sigma(i):  workload (Eq. 5) — intra weight + eta * cross weight;
@@ -13,7 +15,7 @@ package repro.core
   * treats them, so incremental updates and `recompute()` agree at all times.
   */
 final class AllocState(val g: Graph, val params: TxAlloParams) {
-  import AllocState.Unassigned
+  import AllocState.{Unassigned, throughput}
 
   val k: Int = params.k
   val eta: Double = params.eta
@@ -23,17 +25,12 @@ final class AllocState(val g: Graph, val params: TxAlloParams) {
   val sigma: Array[Double] = new Array[Double](k)
   val lamHat: Array[Double] = new Array[Double](k)
 
-  // Scratch for per-node neighbor-community weights (w_{v,C}).
+  // Scratch for per-node neighbor-community weights (w_{v,C}): filled by
+  // `gather`, zeroed by `clear` before the next node is gathered.
   private val wvc = new Array[Double](k)
   private val touched = new Array[Int](k)
 
-  /** Throughput of a community with workload sig and sufficient-capacity
-    * throughput lh (Eq. 3 / Eq. 7).
-    */
-  @inline def thr(sig: Double, lh: Double): Double =
-    if (sig <= lambda) lh else lambda / sig * lh
-
-  def communityThroughput(c: Int): Double = thr(sigma(c), lamHat(c))
+  def communityThroughput(c: Int): Double = throughput(sigma(c), lamHat(c), lambda)
 
   /** Overall modeled throughput Lambda (Eq. 2). */
   def totalThroughput: Double = {
@@ -67,36 +64,13 @@ final class AllocState(val g: Graph, val params: TxAlloParams) {
     }
   }
 
-  /** Fill the scratch with w_{v,C} for assigned neighbor communities; returns
-    * the number of touched communities. Values are read via `weightTo`, and
-    * MUST be cleared with `clearScratch(nt)` before the next node.
-    */
-  def gatherNeighborWeights(v: Int): Int = {
-    var nt = 0
-    g.foreachNbr(v) { (u, w) =>
-      val c = comm(u)
-      if (c != Unassigned) {
-        if (wvc(c) == 0.0) { touched(nt) = c; nt += 1 }
-        wvc(c) += w
-      }
-    }
-    nt
-  }
-
-  def touchedComm(t: Int): Int = touched(t)
-  def weightTo(c: Int): Double = wvc(c)
-  def clearScratch(nt: Int): Unit = {
-    var t = 0
-    while (t < nt) { wvc(touched(t)) = 0.0; t += 1 }
-  }
-
   /** Throughput gain of community q when v (currently NOT in q) joins it
     * (Eq. 6), given w_vq = weight from v to members of q.
     */
   def joinGain(v: Int, q: Int, wvq: Double): Double = {
     val sigN = sigma(q) + g.self(v) + eta * (g.strength(v) - wvq) + (1 - eta) * wvq
     val lhN = lamHat(q) + g.self(v) + g.strength(v) / 2
-    thr(sigN, lhN) - thr(sigma(q), lamHat(q))
+    throughput(sigN, lhN, lambda) - throughput(sigma(q), lamHat(q), lambda)
   }
 
   /** Throughput gain of community p = comm(v) when v leaves it, given
@@ -106,11 +80,11 @@ final class AllocState(val g: Graph, val params: TxAlloParams) {
     val p = comm(v)
     val sigN = sigma(p) - g.self(v) - eta * (g.strength(v) - a) + (eta - 1) * a
     val lhN = lamHat(p) - g.self(v) - g.strength(v) / 2
-    thr(sigN, lhN) - thr(sigma(p), lamHat(p))
+    throughput(sigN, lhN, lambda) - throughput(sigma(p), lamHat(p), lambda)
   }
 
-  /** Apply "v joins q" (v must be unassigned or already removed bookkeeping-
-    * wise handled by the caller via applyMove).
+  /** Apply "the unassigned node v joins q", given w_vq = weight from v to
+    * members of q.
     */
   def applyJoin(v: Int, q: Int, wvq: Double): Unit = {
     sigma(q) += g.self(v) + eta * (g.strength(v) - wvq) + (1 - eta) * wvq
@@ -129,9 +103,135 @@ final class AllocState(val g: Graph, val params: TxAlloParams) {
     sigma(q) += g.self(v) + eta * (g.strength(v) - wvq) + (1 - eta) * wvq
     lamHat(q) += g.self(v) + g.strength(v) / 2
   }
+
+  /** The shared tail of Algorithms 1 and 2, run on the seeded `comm`:
+    *   1. join phase (Alg. 1 lines 2-9 / Alg. 2 lines 1-8): every Unassigned
+    *      node, in ascending index, joins the community with the largest join
+    *      gain (Eq. 6); a node with no assigned neighbor may join any of the k
+    *      communities (the paper's forced C_v);
+    *   2. optimization sweeps over `order` (Alg. 1 lines 10-19 / Alg. 2 lines
+    *      9-17): a node moves to a connected community when the total gain
+    *      (leave + join, Eq. 8) is strictly positive, until the per-sweep gain
+    *      drops below epsilon or `params.maxSweeps` sweeps ran.
+    * State is recomputed from scratch after every sweep to kill floating-point
+    * drift.
+    *
+    * @param t0 `System.nanoTime()` at the start of the run, for `millis`
+    */
+  def allocate(order: Array[Int], t0: Long): AllocResult = {
+    recompute()
+    var v = 0
+    while (v < g.n) {
+      if (comm(v) == Unassigned) {
+        var nt = gather(v)
+        if (nt == 0) while (nt < k) { touched(nt) = nt; nt += 1 } // forced C_v, w = 0
+        val q = bestTarget(v, nt, Unassigned, 0.0, Double.NegativeInfinity)
+        applyJoin(v, q, wvc(q))
+        clear(nt)
+      }
+      v += 1
+    }
+    recompute()
+    val initThroughput = totalThroughput
+
+    var sweeps = 0
+    var delta = Double.PositiveInfinity
+    while (delta >= params.epsilon && sweeps < params.maxSweeps) {
+      delta = 0.0
+      var i = 0
+      while (i < order.length) {
+        val v = order(i)
+        val p = comm(v)
+        val nt = gather(v)
+        val wvp = wvc(p)
+        val lg = leaveGain(v, wvp)
+        val q = bestTarget(v, nt, p, lg, 0.0) // only strictly positive gains move v
+        if (q >= 0) {
+          delta += lg + joinGain(v, q, wvc(q))
+          applyMove(v, q, wvp, wvc(q))
+        }
+        clear(nt)
+        i += 1
+      }
+      recompute()
+      sweeps += 1
+    }
+
+    AllocResult(
+      ids = g.ids,
+      assign = comm.clone(),
+      initThroughput = initThroughput,
+      finalThroughput = totalThroughput,
+      sweeps = sweeps,
+      millis = (System.nanoTime() - t0) / 1000000L)
+  }
+
+  /** The gathered community q != skip with the largest gain base + joinGain,
+    * if that gain beats `floor`; -1 if none does.
+    */
+  private def bestTarget(v: Int, nt: Int, skip: Int, base: Double, floor: Double): Int = {
+    var best = -1
+    var bestGain = floor
+    var t = 0
+    while (t < nt) {
+      val q = touched(t)
+      if (q != skip) {
+        val gain = base + joinGain(v, q, wvc(q))
+        if (better(gain, q, bestGain, best)) { best = q; bestGain = gain }
+      }
+      t += 1
+    }
+    best
+  }
+
+  /** Candidate comparison: a gain larger by more than 1e-12 wins; ties prefer
+    * the lighter (smaller sigma), then lower-indexed community — deterministic
+    * and balance-friendly for isolated nodes.
+    */
+  @inline private def better(gain: Double, q: Int, bestGain: Double, best: Int): Boolean =
+    gain > bestGain + 1e-12 ||
+      (best >= 0 && math.abs(gain - bestGain) <= 1e-12 &&
+        (sigma(q) < sigma(best) - 1e-12 ||
+          (math.abs(sigma(q) - sigma(best)) <= 1e-12 && q < best)))
+
+  /** Fills the scratch with w_{v,C} for assigned neighbor communities and
+    * returns the number of touched communities.
+    */
+  private def gather(v: Int): Int = {
+    var nt = 0
+    g.foreachNbr(v) { (u, w) =>
+      val c = comm(u)
+      if (c != Unassigned) {
+        if (wvc(c) == 0.0) { touched(nt) = c; nt += 1 }
+        wvc(c) += w
+      }
+    }
+    nt
+  }
+
+  private def clear(nt: Int): Unit = {
+    var t = 0
+    while (t < nt) { wvc(touched(t)) = 0.0; t += 1 }
+  }
 }
 
 object AllocState {
   /** comm value of a node not (yet) mapped to any shard. */
   final val Unassigned: Int = -1
+
+  /** Throughput of a shard with workload sig and capacity-sufficient
+    * throughput lh under capacity lambda (Eq. 3).
+    */
+  @inline def throughput(sig: Double, lh: Double, lambda: Double): Double =
+    if (sig <= lambda) lh else lambda / sig * lh
+
+  /** A state holding `assign` (Unassigned entries allowed), with sigma and
+    * lamHat recomputed.
+    */
+  def of(g: Graph, params: TxAlloParams, assign: Array[Int]): AllocState = {
+    val st = new AllocState(g, params)
+    Array.copy(assign, 0, st.comm, 0, g.n)
+    st.recompute()
+    st
+  }
 }

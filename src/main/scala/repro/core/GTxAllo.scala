@@ -3,12 +3,10 @@ package repro.core
 /** G-TxAllo (paper Algorithm 1): global allocation from the full transaction
   * graph.
   *
-  * Phases:
-  *   1. Louvain initialization — discovers l communities;
-  *   2. keep the k communities with the largest workload sigma_i (Eq. 5),
-  *      dissolve the rest, and re-join their nodes by best join gain (Eq. 6);
-  *   3. optimization sweeps over all nodes by total throughput gain (Eq. 8)
-  *      until the per-sweep gain < epsilon.
+  * Louvain discovers l communities; the k with the largest workload sigma_i
+  * (Eq. 5) seed the shards and the rest are dissolved. `AllocState.allocate`
+  * then re-joins the dissolved nodes by best join gain (Eq. 6) and sweeps all
+  * nodes by total throughput gain (Eq. 8) until the per-sweep gain < epsilon.
   *
   * Deterministic: Louvain is deterministic, community ranking breaks ties by
   * label, nodes are visited in ascending account id.
@@ -17,41 +15,18 @@ object GTxAllo {
 
   def run(g: Graph, params: TxAlloParams): AllocResult = {
     val t0 = System.nanoTime()
-    val k = params.k
     val st = new AllocState(g, params)
-
     if (g.n > 0) {
-      // --- Initialization: Louvain + top-k selection -----------------------
       val louvain = Louvain.cluster(g)
-      val l = if (louvain.isEmpty) 0 else louvain.max + 1
-      val sigmaL = GraphMetrics.workloads(g, louvain, math.max(l, 1), params.eta)
+      val l = louvain.max + 1
+      val sigmaL = AllocState.of(g, params.copy(k = l), louvain).sigma
       // Largest k communities w.r.t. workload; ties by smaller label.
-      val ranked = (0 until l).sortBy(c => (-sigmaL(c), c))
-      val shardOf = new Array[Int](math.max(l, 1))
-      java.util.Arrays.fill(shardOf, AllocState.Unassigned)
-      ranked.take(k).zipWithIndex.foreach { case (c, s) => shardOf(c) = s }
-
+      val shardOf = Array.fill(l)(AllocState.Unassigned)
+      (0 until l).sortBy(c => (-sigmaL(c), c)).take(params.k).zipWithIndex
+        .foreach { case (c, s) => shardOf(c) = s }
       var v = 0
       while (v < g.n) { st.comm(v) = shardOf(louvain(v)); v += 1 }
-      st.recompute()
-
-      // --- Join phase: dissolve small communities --------------------------
-      val vSmall = (0 until g.n).filter(st.comm(_) == AllocState.Unassigned)
-      MoveLoop.joinPhase(st, vSmall)
-      st.recompute()
     }
-    val initThroughput = st.totalThroughput
-
-    // --- Optimization sweeps over all nodes --------------------------------
-    val sweeps = MoveLoop.optimize(st, Array.tabulate(g.n)(identity))
-    st.recompute()
-
-    AllocResult(
-      ids = g.ids,
-      assign = st.comm.clone(),
-      initThroughput = initThroughput,
-      finalThroughput = st.totalThroughput,
-      sweeps = sweeps,
-      millis = (System.nanoTime() - t0) / 1000000L)
+    st.allocate(Array.tabulate(g.n)(identity), t0)
   }
 }

@@ -11,18 +11,22 @@ package repro.core
   */
 object Louvain {
 
+  /** Caps on coarsening levels and on local-move sweeps per level. */
+  private val MaxLevels = 20
+  private val MaxSweeps = 20
+
   /** Community label per node index, compacted to 0..l-1 in order of first
     * occurrence by node index. The number of communities l is discovered by
     * the algorithm (typically l >> k on long-tailed transaction graphs).
     */
-  def cluster(g: Graph, maxLevels: Int = 20, maxSweeps: Int = 20): Array[Int] = {
+  def cluster(g: Graph): Array[Int] = {
     var cur = g
     // mapping(v) = community of original node v in the current level's graph
     var mapping = Array.tabulate(g.n)(identity)
     var level = 0
     var done = false
-    while (!done && level < maxLevels) {
-      val comm = localMoves(cur, maxSweeps)
+    while (!done && level < MaxLevels) {
+      val comm = localMoves(cur)
       val labels = compact(comm)
       val nc = if (labels.isEmpty) 0 else labels.max + 1
       if (nc == cur.n) done = true
@@ -56,7 +60,7 @@ object Louvain {
   }
 
   /** One level of sequential local moves; returns raw community labels. */
-  private def localMoves(g: Graph, maxSweeps: Int): Array[Int] = {
+  private def localMoves(g: Graph): Array[Int] = {
     val n = g.n
     val comm = Array.tabulate(n)(identity)
     val k = Array.tabulate(n)(v => g.strength(v) + 2 * g.self(v))
@@ -68,7 +72,7 @@ object Louvain {
     val touched = new Array[Int](n)
     var sweep = 0
     var moved = true
-    while (moved && sweep < maxSweeps) {
+    while (moved && sweep < MaxSweeps) {
       moved = false
       var v = 0
       while (v < n) {

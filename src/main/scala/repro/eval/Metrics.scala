@@ -2,6 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.core.AllocState
 
 /** Per-shard load of an allocation under the blockchain model (Section III-B).
   *
@@ -83,9 +84,7 @@ object Metrics {
     val sigmas = shards.map(_.sigma)
     val mean = sigmas.sum / k
     val rho = math.sqrt(sigmas.map(x => (x - mean) * (x - mean)).sum / k)
-    val throughput = shards.map { sl =>
-      if (sl.sigma <= lambda) sl.lamHat else lambda / sl.sigma * sl.lamHat
-    }.sum
+    val throughput = shards.map(sl => AllocState.throughput(sl.sigma, sl.lamHat, lambda)).sum
     val latencies = sigmas.map(s => Latency.avgLatency(s / lambda))
 
     MetricsResult(

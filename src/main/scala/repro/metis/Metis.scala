@@ -13,8 +13,11 @@ import repro.core.Graph
   */
 object Metis {
 
+  /** Allowed vertex-weight excess of a part over the mean. */
+  private val Imbalance = 0.05
+
   /** @return shard per node index, values in [0, k), deterministic. */
-  def partition(g: Graph, k: Int, imbalance: Double = 0.05): Array[Int] = {
+  def partition(g: Graph, k: Int): Array[Int] = {
     require(k >= 1, "k must be >= 1")
     if (g.n == 0) return Array.emptyIntArray
     if (k == 1) return new Array[Int](g.n)
@@ -29,8 +32,8 @@ object Metis {
     val (levels, maps) = Coarsening.coarsen(g, nodeW, targetN, maxNodeW)
 
     val (coarsest, coarsestW) = levels.last
-    var part = InitialPartition.seed(coarsest, coarsestW, k, imbalance)
-    part = Refinement.refine(coarsest, coarsestW, part, k, imbalance)
+    var part = InitialPartition.seed(coarsest, coarsestW, k, Imbalance)
+    part = Refinement.refine(coarsest, coarsestW, part, k, Imbalance)
 
     // Uncoarsen: project through each level (maps(i): levels(i)->levels(i+1)).
     var i = levels.length - 2
@@ -38,16 +41,16 @@ object Metis {
       val (fine, fineW) = levels(i)
       val map = maps(i)
       val projected = Array.tabulate(fine.n)(v => part(map(v)))
-      part = Refinement.refine(fine, fineW, projected, k, imbalance)
+      part = Refinement.refine(fine, fineW, projected, k, Imbalance)
       i -= 1
     }
     part
   }
 
   /** Timed run keyed by account id (the harness-facing entrypoint). */
-  def allocate(g: Graph, k: Int, imbalance: Double = 0.05): (Map[Long, Int], Long) = {
+  def allocate(g: Graph, k: Int): (Map[Long, Int], Long) = {
     val t0 = System.nanoTime()
-    val part = partition(g, k, imbalance)
+    val part = partition(g, k)
     val millis = (System.nanoTime() - t0) / 1000000L
     (g.ids.iterator.zip(part.iterator).toMap, millis)
   }

@@ -7,13 +7,14 @@ import repro.core.Graph
   * Sweeps nodes in ascending index; a node moves to the neighboring part with
   * the largest positive cut-gain (w_to_target - w_to_own) provided the target
   * stays under the balance cap. Sweeps repeat until no node moves (bounded by
-  * `maxSweeps`). Deterministic and, like METIS, only aware of *vertex weight*
+  * `MaxSweeps`). Deterministic and, like METIS, only aware of *vertex weight*
   * balance — never of the blockchain workload.
   */
 object Refinement {
 
-  def refine(g: Graph, nodeW: Array[Double], part: Array[Int], k: Int, imbalance: Double,
-             maxSweeps: Int = 5): Array[Int] = {
+  private val MaxSweeps = 5
+
+  def refine(g: Graph, nodeW: Array[Double], part: Array[Int], k: Int, imbalance: Double): Array[Int] = {
     val cap = nodeW.sum / k * (1.0 + imbalance)
     val load = new Array[Double](k)
     var v = 0
@@ -23,7 +24,7 @@ object Refinement {
     val touched = new Array[Int](k)
     var sweep = 0
     var moved = true
-    while (moved && sweep < maxSweeps) {
+    while (moved && sweep < MaxSweeps) {
       moved = false
       v = 0
       while (v < g.n) {

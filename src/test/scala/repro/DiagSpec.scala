@@ -21,7 +21,7 @@ class DiagSpec extends SparkSpec {
 
     val louvain = Louvain.cluster(g)
     val l = louvain.max + 1
-    val wl = GraphMetrics.workloads(g, louvain, l, 2.0)
+    val wl = AllocState.of(g, TxAlloParams.default(g, l, 2.0), louvain).sigma
     val top = (0 until l).sortBy(-wl(_)).take(10)
     println(s"louvain: l=$l communities; top-10 workload share=${top.map(c => f"${wl(c) / g.totalWeight}%.3f").mkString(",")}")
     println(s"hub community workload share=${wl(louvain(hub)) / g.totalWeight}")
@@ -29,8 +29,9 @@ class DiagSpec extends SparkSpec {
     println(s"hub community size=$hubCommSize nodes")
 
     val k = 20
-    val res = GTxAllo.run(g, TxAlloParams.default(g, k, 2.0))
-    val sig = GraphMetrics.workloads(g, res.assign, k, 2.0)
+    val params = TxAlloParams.default(g, k, 2.0)
+    val res = GTxAllo.run(g, params)
+    val sig = AllocState.of(g, params, res.assign).sigma
     val lambda = g.totalWeight / k
     println(s"gtxallo shard norm workloads=${sig.map(s => f"${s / lambda}%.2f").mkString(",")}")
     val hubShard = res.assign(hub)
@@ -47,18 +48,13 @@ class DiagSpec extends SparkSpec {
     val tx = GTxAllo.run(g, params)
     val (metisMap, _) = repro.metis.Metis.allocate(g, k)
     val metisAssign = g.ids.map(metisMap)
-    def modelThr(assign: Array[Int]): Double = {
-      val st = new AllocState(g, params)
-      Array.copy(assign, 0, st.comm, 0, g.n)
-      st.recompute()
-      st.totalThroughput
-    }
+    def modelThr(assign: Array[Int]): Double = AllocState.of(g, params, assign).totalThroughput
     val lambda = params.lambda
     println(s"[cmp] graph-model thr: txallo=${tx.finalThroughput / lambda} " +
       s"metis=${modelThr(metisAssign) / lambda} sweeps=${tx.sweeps}")
     println(s"[cmp] cut: txallo=${GraphMetrics.cutRatio(g, tx.assign)} " +
       s"metis=${GraphMetrics.cutRatio(g, metisAssign)}")
-    println(s"[cmp] txallo norm wl=${GraphMetrics.workloads(g, tx.assign, k, eta).map(x => f"${x / lambda}%.2f").mkString(",")}")
-    println(s"[cmp] metis  norm wl=${GraphMetrics.workloads(g, metisAssign, k, eta).map(x => f"${x / lambda}%.2f").mkString(",")}")
+    println(s"[cmp] txallo norm wl=${AllocState.of(g, params, tx.assign).sigma.map(x => f"${x / lambda}%.2f").mkString(",")}")
+    println(s"[cmp] metis  norm wl=${AllocState.of(g, params, metisAssign).sigma.map(x => f"${x / lambda}%.2f").mkString(",")}")
   }
 }

@@ -8,18 +8,10 @@ import repro.TestUtil
   */
 class AllocStateSpec extends AnyFunSuite {
 
-  private def fresh(g: Graph, p: TxAlloParams, comm: Array[Int]): AllocState = {
-    val st = new AllocState(g, p)
-    Array.copy(comm, 0, st.comm, 0, comm.length)
-    st.recompute()
-    st
-  }
-
-  /** w_{v,q} and w_{v,p\v} via the state's scratch (cleared afterwards). */
+  /** w_{v,c}: brute-force sum of v's arc weights to the members of c. */
   private def weightTo(st: AllocState, v: Int, c: Int): Double = {
-    val nt = st.gatherNeighborWeights(v)
-    val w = st.weightTo(c)
-    st.clearScratch(nt)
+    var w = 0.0
+    st.g.foreachNbr(v)((u, x) => if (st.comm(u) == c) w += x)
     w
   }
 
@@ -30,34 +22,34 @@ class AllocStateSpec extends AnyFunSuite {
   private val handComm = Array(0, 0, 1, 1) // ids sorted: 1,2,3,4
 
   test("recompute: hand-computed sigma (Eq. 5)") {
-    val st = fresh(gHand, TxAlloParams(2, 3.0, 10.0, 1e-9), handComm)
+    val st = AllocState.of(gHand, TxAlloParams(2, 3.0, 10.0, 1e-9), handComm)
     assert(math.abs(st.sigma(0) - (1.0 + 0.3 + 3 * 0.5)) < 1e-12)
     assert(math.abs(st.sigma(1) - (2.0 + 3 * 0.5)) < 1e-12)
   }
 
   test("recompute: hand-computed capacity-sufficient throughput") {
-    val st = fresh(gHand, TxAlloParams(2, 3.0, 10.0, 1e-9), handComm)
+    val st = AllocState.of(gHand, TxAlloParams(2, 3.0, 10.0, 1e-9), handComm)
     assert(math.abs(st.lamHat(0) - (1.0 + 0.3 + 0.25)) < 1e-12)
     assert(math.abs(st.lamHat(1) - (2.0 + 0.25)) < 1e-12)
   }
 
   test("throughput uses Eq. 3 in both capacity regimes") {
-    val sufficient = fresh(gHand, TxAlloParams(2, 3.0, 10.0, 1e-9), handComm)
+    val sufficient = AllocState.of(gHand, TxAlloParams(2, 3.0, 10.0, 1e-9), handComm)
     assert(math.abs(sufficient.totalThroughput - (1.55 + 2.25)) < 1e-12)
-    val starved = fresh(gHand, TxAlloParams(2, 3.0, 3.0, 1e-9), handComm)
+    val starved = AllocState.of(gHand, TxAlloParams(2, 3.0, 3.0, 1e-9), handComm)
     val expected = 1.55 + 3.0 / 3.5 * 2.25
     assert(math.abs(starved.totalThroughput - expected) < 1e-12)
   }
 
   test("total throughput is capped by total weight (no redundant counting)") {
-    val st = fresh(gHand, TxAlloParams(2, 3.0, 1000.0, 1e-9), handComm)
+    val st = AllocState.of(gHand, TxAlloParams(2, 3.0, 1000.0, 1e-9), handComm)
     assert(st.totalThroughput <= gHand.totalWeight + 1e-12)
   }
 
   test("fully intra-shard allocation reaches throughput == total weight") {
     val g = TestUtil.cliques(2, 4)
     val comm = Array.tabulate(g.n)(v => if (v < 4) 0 else 1)
-    val st = fresh(g, TxAlloParams(2, 2.0, 1000.0, 1e-9), comm)
+    val st = AllocState.of(g, TxAlloParams(2, 2.0, 1000.0, 1e-9), comm)
     assert(math.abs(st.totalThroughput - g.totalWeight) < 1e-12)
   }
 
@@ -89,7 +81,7 @@ class AllocStateSpec extends AnyFunSuite {
     test(s"Eq. 8: leave+join gain equals brute-force throughput delta (seed=$seed)") {
       val (g, p, comm) = randomSetup(seed)
       val rnd = new scala.util.Random(seed * 31)
-      val st = fresh(g, p, comm)
+      val st = AllocState.of(g, p, comm)
       val before = st.totalThroughput
       for (_ <- 0 until 20) {
         val v = rnd.nextInt(g.n)
@@ -101,7 +93,7 @@ class AllocStateSpec extends AnyFunSuite {
           val predicted = st.leaveGain(v, wvp) + st.joinGain(v, q, wvq)
           val after = {
             val c2 = st.comm.clone(); c2(v) = q
-            fresh(g, p, c2).totalThroughput
+            AllocState.of(g, p, c2).totalThroughput
           }
           assert(math.abs((after - st.totalThroughput) - predicted) < 1e-9,
                  s"v=$v $pc->$q predicted=$predicted actual=${after - st.totalThroughput}")
@@ -116,7 +108,7 @@ class AllocStateSpec extends AnyFunSuite {
     test(s"incremental applyMove stays consistent with recompute (seed=$seed)") {
       val (g, p, comm) = randomSetup(seed + 100)
       val rnd = new scala.util.Random(seed * 17)
-      val st = fresh(g, p, comm)
+      val st = AllocState.of(g, p, comm)
       for (_ <- 0 until 30) {
         val v = rnd.nextInt(g.n)
         val q = rnd.nextInt(p.k)
@@ -126,7 +118,7 @@ class AllocStateSpec extends AnyFunSuite {
           st.applyMove(v, q, wvp, wvq)
         }
       }
-      val ref = fresh(g, p, st.comm.clone())
+      val ref = AllocState.of(g, p, st.comm.clone())
       (0 until p.k).foreach { c =>
         assert(math.abs(st.sigma(c) - ref.sigma(c)) < 1e-8, s"sigma($c) drifted")
         assert(math.abs(st.lamHat(c) - ref.lamHat(c)) < 1e-8, s"lamHat($c) drifted")
@@ -138,13 +130,13 @@ class AllocStateSpec extends AnyFunSuite {
     test(s"Lemma 1: a move only changes the two involved communities (seed=$seed)") {
       val (g, p, comm) = randomSetup(seed + 200)
       val rnd = new scala.util.Random(seed * 13)
-      val st = fresh(g, p, comm)
+      val st = AllocState.of(g, p, comm)
       val v = rnd.nextInt(g.n)
       val pc = st.comm(v)
       val q = (pc + 1) % p.k
       val beforeThr = (0 until p.k).map(st.communityThroughput)
       val c2 = st.comm.clone(); c2(v) = q
-      val after = fresh(g, p, c2)
+      val after = AllocState.of(g, p, c2)
       (0 until p.k).filter(c => c != pc && c != q).foreach { c =>
         assert(math.abs(after.communityThroughput(c) - beforeThr(c)) < 1e-10,
                s"community $c changed")
@@ -159,7 +151,7 @@ class AllocStateSpec extends AnyFunSuite {
       // Unassign a random subset.
       val c0 = comm.clone()
       (0 until g.n).foreach(v => if (rnd.nextBoolean()) c0(v) = AllocState.Unassigned)
-      val st = fresh(g, p, c0)
+      val st = AllocState.of(g, p, c0)
       val unassigned = (0 until g.n).filter(st.comm(_) == AllocState.Unassigned)
       if (unassigned.nonEmpty) {
         val v = unassigned(rnd.nextInt(unassigned.length))
@@ -167,23 +159,20 @@ class AllocStateSpec extends AnyFunSuite {
         val wvq = weightTo(st, v, q)
         val predicted = st.joinGain(v, q, wvq)
         val c2 = st.comm.clone(); c2(v) = q
-        val actual = fresh(g, p, c2).totalThroughput - st.totalThroughput
+        val actual = AllocState.of(g, p, c2).totalThroughput - st.totalThroughput
         assert(math.abs(actual - predicted) < 1e-9, s"v=$v join $q: $predicted vs $actual")
       }
     }
   }
 
-  test("gatherNeighborWeights ignores unassigned neighbors and self-loops") {
+  test("join ignores unassigned neighbors and self-loops") {
+    // Id 1 sees only shard 1 (via id 2): its unassigned neighbor id 3 and its
+    // self-loop are no candidates, so it cannot fall back to all k shards.
     val g = Graph.fromEdges(Seq((1L, 2L, 1.0), (1L, 3L, 2.0), (1L, 1L, 5.0)))
     val st = new AllocState(g, TxAlloParams(2, 2.0, 10.0, 1e-9))
-    st.comm(g.indexOf(2L)) = 1 // node 3 (id 3) left unassigned
-    st.recompute()
-    val v = g.indexOf(1L)
-    val nt = st.gatherNeighborWeights(v)
-    assert(nt == 1)
-    assert(st.touchedComm(0) == 1)
-    assert(st.weightTo(1) == 1.0)
-    st.clearScratch(nt)
-    assert(st.weightTo(1) == 0.0)
+    st.comm(g.indexOf(2L)) = 1
+    val res = st.allocate(Array.emptyIntArray, System.nanoTime())
+    assert(res.assign.toSeq == Seq(1, 1, 1))
+    assert(res.sweeps == 1)
   }
 }

@@ -40,9 +40,7 @@ class GTxAlloSpec extends AnyFunSuite {
     val (g, _) = TestUtil.planted(5, 12, 30, 20)
     val p = TxAlloParams.default(g, 3, 2.0)
     val res = GTxAllo.run(g, p)
-    val st = new AllocState(g, p)
-    Array.copy(res.assign, 0, st.comm, 0, g.n)
-    st.recompute()
+    val st = AllocState.of(g, p, res.assign)
     assert(math.abs(st.totalThroughput - res.finalThroughput) < 1e-7)
   }
 

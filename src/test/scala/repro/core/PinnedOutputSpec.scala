@@ -30,6 +30,8 @@ class PinnedOutputSpec extends AnyFunSuite {
 
   private def hex(x: Int): String = f"0x$x%08x"
 
+  private def bits(x: Double): String = f"0x${java.lang.Double.doubleToLongBits(x)}%016x"
+
   test("CSR weights are pinned") {
     assert(hex(weightHash(g)) == "0x608f3fa8")
   }
@@ -47,7 +49,11 @@ class PinnedOutputSpec extends AnyFunSuite {
   }
 
   test("G-TxAllo mapping is pinned") {
-    assert(hex(fp(GTxAllo.run(g, TxAlloParams.default(g, 8, 2.0)).assign)) == "0xca938f11")
+    val res = GTxAllo.run(g, TxAlloParams.default(g, 8, 2.0))
+    assert(hex(fp(res.assign)) == "0xca938f11")
+    assert(bits(res.initThroughput) == "0x4077df9a216a82f3")
+    assert(bits(res.finalThroughput) == "0x407823b4f4ca9f6e")
+    assert(res.sweeps == 4)
   }
 
   test("METIS partition is pinned") {
@@ -61,5 +67,8 @@ class PinnedOutputSpec extends AnyFunSuite {
     val res = ATxAllo.run(g1, prev, active, TxAlloParams.default(g1, 8, 2.0))
     assert(hex(weightHash(g1)) == "0x2102a872")
     assert(hex(fp(res.assign)) == "0xcb19d9ce")
+    assert(bits(res.initThroughput) == "0x407aa81a1277d101")
+    assert(bits(res.finalThroughput) == "0x407adcd5563f8b38")
+    assert(res.sweeps == 3)
   }
 }

@@ -86,9 +86,8 @@ class PropertySpec extends AnyFunSuite {
       if (g.n == 0) true
       else {
         val rnd = new scala.util.Random(seed)
-        val st = new AllocState(g, TxAlloParams(k, eta, math.max(g.totalWeight, 1.0) / k, 1e-9))
-        (0 until g.n).foreach(v => st.comm(v) = rnd.nextInt(k))
-        st.recompute()
+        val st = AllocState.of(g, TxAlloParams(k, eta, math.max(g.totalWeight, 1.0) / k, 1e-9),
+                               Array.fill(g.n)(rnd.nextInt(k)))
         st.totalThroughput <= g.totalWeight + 1e-9
       }
     })

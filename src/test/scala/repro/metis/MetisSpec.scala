@@ -2,7 +2,7 @@ package repro.metis
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.core.{Graph, GraphMetrics}
+import repro.core.{AllocState, Graph, GraphMetrics, TxAlloParams}
 
 /** METIS-like multilevel partitioner: invariants, balance, cut quality. */
 class MetisSpec extends AnyFunSuite {
@@ -54,7 +54,7 @@ class MetisSpec extends AnyFunSuite {
     val (g, _) = TestUtil.planted(8, 15, 40, 30, seed = 17)
     val nodeW = activity(g)
     val k = 4
-    val part = Metis.partition(g, k, imbalance = 0.05)
+    val part = Metis.partition(g, k)
     val loads = new Array[Double](k)
     (0 until g.n).foreach(v => loads(part(v)) += nodeW(v))
     val cap = nodeW.sum / k * 1.05
@@ -117,7 +117,7 @@ class MetisSpec extends AnyFunSuite {
     val g = Graph.fromEdges(star ++ cliques)
     val part = Metis.partition(g, 4)
     val eta = 4.0
-    val loads = GraphMetrics.workloads(g, part, 4, eta)
+    val loads = AllocState.of(g, TxAlloParams.default(g, 4, eta), part).sigma
     val mean = loads.sum / 4
     assert(loads.max > 1.2 * mean, s"expected an overloaded shard, loads=${loads.toSeq}")
   }
