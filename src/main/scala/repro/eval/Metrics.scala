@@ -30,13 +30,14 @@ final case class MetricsResult(
     avgLatency: Double, worstLatency: Double,
     shards: Seq[ShardLoad])
 
-/** Computes the paper's blockchain-level metrics with Spark DataFrame
-  * aggregations. Every transaction's mu (number of involved shards) comes
-  * from joining the exploded (txId, account) pairs with the allocation —
-  * exactly Definition `T_i = { Tx | A_Tx intersect A_i != empty }`.
-  *
-  * All aggregates have straightforward SQL equivalents and are checked
-  * against DuckDB by `repro.eval.MetricsSpec` via `repro.Oracle`.
+/** Computes the paper's blockchain-level metrics in one Spark action. Joining
+  * the exploded (txId, account) pairs with the allocation gives each
+  * transaction's shard set (Definition `T_i = { Tx | A_Tx intersect A_i !=
+  * empty }`) and its mu, the number of distinct shards. Spark returns only the
+  * exact counts c(shard, mu) of transactions touching `shard` and mu shards
+  * in all (at most k * max mu rows); every metric is driver arithmetic on them
+  * in (shard, mu) order, so the result does not depend on Spark partitioning.
+  * `repro.eval.MetricsSpec` checks the outputs against DuckDB (`repro.Oracle`).
   */
 object Metrics {
 
@@ -45,41 +46,36 @@ object Metrics {
     * @param k          number of shards
     * @param eta        cross-shard workload factor
     * @param lambdaOpt  per-shard capacity; defaults to the paper's |T| / k
+    * @throws IllegalArgumentException if a transaction's account maps to a
+    *         shard outside [0, k), or no transaction joins the allocation
     */
   def evaluate(txAccounts: DataFrame, alloc: DataFrame, k: Int, eta: Double,
                lambdaOpt: Option[Double] = None): MetricsResult = {
-    // Distinct (txId, shard) incidence, then mu per transaction.
-    val txShard = txAccounts
+    val counts = txAccounts
       .join(alloc, "account")
-      .select(col("txId"), col("shard"))
-      .distinct()
-    val mu = txShard.groupBy("txId").agg(count(lit(1)) as "mu")
-
-    val Array(nTxRow) = mu
-      .agg(count(lit(1)) as "n",
-           coalesce(sum(when(col("mu") > 1, 1L).otherwise(0L)), lit(0L)) as "nCross")
+      .groupBy("txId").agg(collect_set("shard") as "shards")
+      .select(explode(col("shards")) as "shard", size(col("shards")) as "mu")
+      .groupBy("shard", "mu").count()
       .collect()
-    val nTx = nTxRow.getLong(0)
-    val nCross = nTxRow.getLong(1)
+      .map(r => (r.getInt(0), r.getInt(1), r.getLong(2)))
+      .sorted
+    counts.foreach { case (s, _, _) => require(s >= 0 && s < k, s"shard $s outside [0, $k)") }
+
+    val intra = new Array[Long](k)
+    val cross = new Array[Long](k)
+    val lamHat = new Array[Double](k)
+    for ((s, mu, c) <- counts) {
+      if (mu == 1) intra(s) = c else cross(s) += c
+      lamHat(s) += c.toDouble / mu
+    }
+    // A transaction with mu shards is counted in mu rows.
+    val nTx = counts.groupMapReduce(_._2)(_._3)(_ + _).map { case (mu, c) => c / mu }.sum
     require(nTx > 0, "no transactions survived the allocation join — incomplete allocation?")
-    val gamma = nCross.toDouble / nTx
+    val gamma = (nTx - intra.sum).toDouble / nTx
     val lambda = lambdaOpt.getOrElse(nTx.toDouble / k)
 
-    val perShard = txShard
-      .join(mu, "txId")
-      .groupBy("shard")
-      .agg(
-        sum(when(col("mu") === 1, 1L).otherwise(0L)) as "txIntra",
-        sum(when(col("mu") > 1, 1L).otherwise(0L)) as "txCross",
-        sum(lit(1.0) / col("mu")) as "lamHat")
-      .collect()
-      .map(r => r.getInt(0) -> ((r.getLong(1), r.getLong(2), r.getDouble(3))))
-      .toMap
-
-    val shards = (0 until k).map { s =>
-      val (intra, cross, lamHat) = perShard.getOrElse(s, (0L, 0L, 0.0))
-      ShardLoad(s, intra, cross, intra + eta * cross, lamHat)
-    }
+    val shards =
+      (0 until k).map(s => ShardLoad(s, intra(s), cross(s), intra(s) + eta * cross(s), lamHat(s)))
 
     val sigmas = shards.map(_.sigma)
     val mean = sigmas.sum / k

@@ -1,12 +1,11 @@
 package repro.eval
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.alloc.HashAllocator
 import repro.chain.{ChainParams, TxGen}
 
 /** Blockchain-level metrics (Eqs. 1-4) with hand-computed cases and DuckDB
-  * oracle checks of every Spark aggregation.
+  * oracle checks of `Metrics.evaluate`'s gamma and per-shard counts.
   */
 class MetricsSpec extends SparkSpec {
   import spark.implicits._
@@ -93,27 +92,22 @@ class MetricsSpec extends SparkSpec {
     assert(math.abs(m.shards(1).lamHat - 0.5) < 1e-12)
   }
 
+  private def round6(x: Double): Double =
+    BigDecimal(x).setScale(6, BigDecimal.RoundingMode.HALF_UP).toDouble
+
   test("gamma matches DuckDB (oracle) on a generated ledger") {
     val p = ChainParams.atScale(0.0008, seed = 21)
     val txs = TxGen.transactions(spark, p)
     val txAcc = TxGen.txAccounts(txs)
     val alloc = HashAllocator.allocate(TxGen.accounts(txs), 6)
-    // Spark-side gamma as a one-row DataFrame via the same dataflow shape.
-    val sparkGamma = txAcc.join(alloc, "account")
-      .select($"txId", $"shard").distinct()
-      .groupBy("txId").agg(countDistinct("shard") as "mu")
-      .agg(round(avg(when($"mu" > 1, 1.0).otherwise(0.0)), 6) as "gamma")
+    val m = Metrics.evaluate(txAcc, alloc, 6, 2.0)
     Oracle.assertEquivalent(
-      sparkGamma,
+      Seq(round6(m.gamma)).toDF("gamma"),
       """SELECT ROUND(AVG(CASE WHEN s > 1 THEN 1.0 ELSE 0.0 END), 6) AS gamma
         |FROM (SELECT t.txId, COUNT(DISTINCT a.shard) AS s
         |      FROM txacc t JOIN alloc a ON t.account = a.account
         |      GROUP BY t.txId) q""".stripMargin,
       "txacc" -> txAcc, "alloc" -> alloc)
-    // and the Metrics entrypoint agrees with the Spark-side number
-    val m = Metrics.evaluate(txAcc, alloc, 6, 2.0)
-    val g = sparkGamma.collect()(0).getDouble(0)
-    assert(math.abs(m.gamma - g) < 1e-5)
   }
 
   test("per-shard intra/cross/lamHat match DuckDB (oracle)") {
@@ -121,16 +115,13 @@ class MetricsSpec extends SparkSpec {
     val txs = TxGen.transactions(spark, p)
     val txAcc = TxGen.txAccounts(txs)
     val alloc = HashAllocator.allocate(TxGen.accounts(txs), 4)
-    val txShard = txAcc.join(alloc, "account").select($"txId", $"shard").distinct()
-    val mu = txShard.groupBy("txId").agg(count(lit(1)) as "mu")
-    val sparkPerShard = txShard.join(mu, "txId")
-      .groupBy("shard")
-      .agg(
-        sum(when($"mu" === 1, 1L).otherwise(0L)) as "txIntra",
-        sum(when($"mu" > 1, 1L).otherwise(0L)) as "txCross",
-        round(sum(lit(1.0) / $"mu"), 6) as "lamHat")
+    val m = Metrics.evaluate(txAcc, alloc, 4, 2.0)
+    // The SQL GROUP BY has no row for an empty shard.
+    val perShard = m.shards.filter(sl => sl.txIntra + sl.txCross > 0)
+      .map(sl => (sl.shard, sl.txIntra, sl.txCross, round6(sl.lamHat)))
+      .toDF("shard", "txIntra", "txCross", "lamHat")
     Oracle.assertEquivalent(
-      sparkPerShard,
+      perShard,
       """WITH ts AS (SELECT DISTINCT t.txId, a.shard
         |            FROM txacc t JOIN alloc a ON t.account = a.account),
         |     m AS (SELECT txId, COUNT(*) AS mu FROM ts GROUP BY txId)
@@ -141,13 +132,25 @@ class MetricsSpec extends SparkSpec {
         |FROM ts JOIN m ON ts.txId = m.txId
         |GROUP BY ts.shard""".stripMargin,
       "txacc" -> txAcc, "alloc" -> alloc)
-    // Metrics.evaluate agrees with the raw aggregation
-    val m = Metrics.evaluate(txAcc, alloc, 4, 2.0)
-    sparkPerShard.collect().foreach { r =>
-      val sl = m.shards(r.getInt(0))
-      assert(sl.txIntra == r.getLong(1) && sl.txCross == r.getLong(2))
-      assert(math.abs(sl.lamHat - r.getDouble(3)) < 1e-5)
-    }
+  }
+
+  test("the result does not depend on Spark partitioning") {
+    val p = ChainParams.atScale(0.002, seed = 24)
+    val txs = TxGen.transactions(spark, p)
+    val txAcc = TxGen.txAccounts(txs)
+    val alloc = HashAllocator.allocate(TxGen.accounts(txs), 7)
+    val partitions = "spark.sql.shuffle.partitions"
+    val adaptive = "spark.sql.adaptive.enabled"
+    val saved = Seq(partitions, adaptive).map(c => c -> spark.conf.get(c))
+    try {
+      // Adaptive execution would coalesce these small shuffles into one partition.
+      spark.conf.set(adaptive, false)
+      val results = Seq(1, 7, 64).map { n =>
+        spark.conf.set(partitions, n.toLong)
+        Metrics.evaluate(txAcc, alloc, 7, 2.0)
+      } :+ Metrics.evaluate(txAcc.repartition(7), alloc, 7, 2.0)
+      results.tail.foreach(r => assert(r == results.head))
+    } finally saved.foreach { case (c, v) => spark.conf.set(c, v) }
   }
 
   test("hash allocation at k=60 gives the paper's ~98% cross ratio") {
@@ -157,6 +160,14 @@ class MetricsSpec extends SparkSpec {
     val alloc = HashAllocator.allocate(TxGen.accounts(txs), 60)
     val m = Metrics.evaluate(txAcc, alloc, 60, 2.0)
     assert(m.gamma > 0.93 && m.gamma <= 1.0, s"gamma = ${m.gamma}")
+  }
+
+  test("evaluate rejects a shard outside [0, k)") {
+    for (bad <- Seq(2, -1)) {
+      val alloc = Seq((1L, 0), (2L, 0), (3L, 0), (4L, 1), (5L, bad), (6L, 1)).toDF("account", "shard")
+      val e = intercept[IllegalArgumentException](Metrics.evaluate(handTxAcc, alloc, 2, 2.0))
+      assert(e.getMessage.contains(s"shard $bad outside [0, 2)"))
+    }
   }
 
   test("evaluate fails loudly when the allocation covers no account") {
