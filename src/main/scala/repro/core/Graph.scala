@@ -177,7 +177,7 @@ object Graph {
   }
 
   /** `xs` sorted ascending with duplicates removed (sorts `xs` in place). */
-  private def sortedDistinct(xs: Array[Long]): Array[Long] = {
+  private[core] def sortedDistinct(xs: Array[Long]): Array[Long] = {
     java.util.Arrays.sort(xs)
     var n = 0
     var i = 0

@@ -77,15 +77,19 @@ object Evolution {
       var graph = baseGraph
       var assign = bootstrap.toMap
       val recs = steps.zipWithIndex.map { case (step, t) =>
+        // The update time covers the merge as well as the allocation: a
+        // deployment does both per step.
+        val t0 = System.nanoTime()
         graph = Graph.merge(graph, step.edges)
         val p = TxAlloParams.default(graph, cfg.k, cfg.eta)
         val useGlobal = gapOpt.exists(g => (t + 1) % g == 0)
         val res =
           if (useGlobal) GTxAllo.run(graph, p)
           else ATxAllo.run(graph, assign, step.active, p)
+        val updateMillis = (System.nanoTime() - t0) / 1000000
         assign = res.toMap
         val m = Metrics.evaluate(step.txAcc, Alloc.toDf(spark, assign), cfg.k, cfg.eta)
-        StepRecord(t, m.normThroughput, m.gamma, res.millis, useGlobal)
+        StepRecord(t, m.normThroughput, m.gamma, updateMillis, useGlobal)
       }
       StrategyRun(name, recs)
     }

@@ -1,11 +1,13 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, TestUtil}
 import repro.chain.{ChainParams, TxGen}
+import scala.util.hashing.MurmurHash3
 
 /** Transaction-graph construction (Definition 2): pair expansion, 1/pi
-  * weights, self-loops, aggregation — plus a DuckDB oracle check.
+  * weights, self-loops, aggregation in exact units of 1/L — plus a DuckDB
+  * oracle check.
   */
 class TxGraphSpec extends SparkSpec {
   import spark.implicits._
@@ -115,5 +117,55 @@ class TxGraphSpec extends SparkSpec {
     val a = TxGraph.edges(TxGen.transactions(spark, p)).sort("src", "dst").collect().toSeq
     val b = TxGraph.edges(TxGen.transactions(spark, p)).sort("src", "dst").collect().toSeq
     assert(a == b)
+  }
+
+  test("the graph does not depend on Spark partitioning or row order") {
+    val txs = TxGen.transactions(spark, ChainParams.atScale(0.002, seed = 8)).cache()
+    val g = TxGraph.fromTxs(txs)
+    for (n <- Seq(1, 7, 64)) assert(TestUtil.sameGraph(TxGraph.fromTxs(txs.repartition(n)), g), s"$n partitions")
+    assert(TestUtil.sameGraph(TxGraph.fromTxs(txs.orderBy(rand(1))), g), "shuffled rows")
+    txs.unpersist()
+  }
+
+  test("a pair shared by 2-, 3- and 4-account transactions sums exactly in every row order") {
+    // (1, 2) gets 6 + 2 + 1 + 1 units of 1/6; summing 1 + 1/3 + 1/6 + 1/6
+    // as Doubles gives a different last bit in some orders.
+    val rows = Seq((0L, Seq(1L, 2L)), (1L, Seq(1L, 2L, 3L)), (2L, Seq(1L, 2L, 3L, 4L)),
+                   (3L, Seq(1L, 2L, 5L, 6L)))
+    val graphs = rows.permutations.map(p => TxGraph.fromTxs(mkTxs(p))).toSeq
+    graphs.foreach { g =>
+      var w12 = Double.NaN
+      g.foreachNbr(g.indexOf(1L))((u, w) => if (g.ids(u) == 2L) w12 = w)
+      assert(w12 == 10.0 / 6)
+      assert(TestUtil.sameGraph(g, graphs.head))
+    }
+  }
+
+  test("weight unit L: 6 on a TxGen ledger, rejected when L·|T| exceeds 2^53") {
+    val txs = TxGen.transactions(spark, ChainParams.atScale(0.002, seed = 4))
+    val sizes = txs.select(size(col("accounts"))).collect().map(_.getInt(0))
+    assert(TxGraph.unitsPerTx(sizes.distinct.sorted, sizes.length) == 6)
+
+    // One transaction of each size 2..40: L = 2,671,465,728,531,600, |T| = 39.
+    val wide = (2 to 40).map(m => (m.toLong, (1L to m.toLong).toSeq))
+    val e = intercept[IllegalArgumentException](TxGraph.fromTxs(mkTxs(wide)))
+    Seq("L = 2671465728531600", "|T| = 39", "largest transaction 40").foreach(s => assert(e.getMessage.contains(s)))
+  }
+
+  test("a transaction with a null or empty account set is rejected") {
+    for (bad <- Seq(Seq.empty[Long], null)) {
+      val e = intercept[IllegalArgumentException](TxGraph.fromTxs(mkTxs(Seq((0L, Seq(1L, 2L)), (1L, bad)))))
+      assert(e.getMessage.contains("null or empty account set"))
+    }
+  }
+
+  test("the ledger graph is pinned, and the edge rows rebuild it") {
+    val txs = TxGen.transactions(spark, ChainParams.atScale(0.002, seed = 4))
+    val g = TxGraph.fromTxs(txs)
+    // Exact unit sums fix every bit of these weights, whatever the partitioning.
+    val bits = (g.wgt ++ g.self).map(java.lang.Double.doubleToLongBits)
+    assert(f"0x${MurmurHash3.arrayHash(bits)}%08x" == "0x10d67971")
+    val rows = TxGraph.edges(txs).collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
+    assert(TestUtil.sameGraph(Graph.fromEdges(rows), g))
   }
 }
