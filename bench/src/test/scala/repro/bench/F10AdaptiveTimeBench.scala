@@ -13,7 +13,7 @@ import repro.harness.Tables
 class F10AdaptiveTimeBench extends AnyFunSuite {
 
   test("T10: print per-step update time table") {
-    println(Tables.adaptiveTimeTable(BenchData.evolution))
+    println(Tables.evolutionTables("T10")(BenchData.evolution))
   }
 
   test("T10 shape: adaptive steps are much faster than global steps") {

@@ -12,7 +12,7 @@ import repro.harness.{Sweep, Tables}
 class F2CrossShardBench extends AnyFunSuite {
 
   test("T2: print cross-shard ratio table") {
-    println(Tables.sweepTable("T2 cross-shard transaction ratio gamma", BenchData.sweep, _.gamma))
+    println(Tables.sweepTables("T2")(BenchData.sweep))
   }
 
   test("T2 shape: hash is near 1 - 1/k and worst overall") {

@@ -12,7 +12,7 @@ import repro.harness.{Sweep, Tables}
 class F3BalanceBench extends AnyFunSuite {
 
   test("T3: print workload balance table") {
-    println(Tables.sweepTable("T3 workload balance rho / lambda", BenchData.sweep, _.rhoNorm))
+    println(Tables.sweepTables("T3")(BenchData.sweep))
   }
 
   test("T3 shape: Shard Scheduler balances at least as well as METIS and hash") {

@@ -20,7 +20,7 @@ class F4WorkloadDistBench extends AnyFunSuite {
   }
 
   test("T4: print per-shard workload distribution") {
-    println(Tables.caseStudyTable(BenchData.sweep))
+    println(Tables.sweepTables("T4")(BenchData.sweep))
   }
 
   test("T4 shape: hash has the largest total workload (most cross-shard txs)") {

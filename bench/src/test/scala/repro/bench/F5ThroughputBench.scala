@@ -12,7 +12,7 @@ import repro.harness.{Sweep, Tables}
 class F5ThroughputBench extends AnyFunSuite {
 
   test("T5: print normalized throughput table") {
-    println(Tables.sweepTable("T5 normalized throughput Lambda/lambda", BenchData.sweep, _.normThroughput))
+    println(Tables.sweepTables("T5")(BenchData.sweep))
   }
 
   test("T5 shape: G-TxAllo beats hash everywhere and METIS at scale") {

@@ -10,7 +10,7 @@ import repro.harness.{Sweep, Tables}
 class F6LatencyBench extends AnyFunSuite {
 
   test("T6: print average latency table") {
-    println(Tables.sweepTable("T6 average confirmation latency zeta [blocks]", BenchData.sweep, _.avgLatency))
+    println(Tables.sweepTables("T6")(BenchData.sweep))
   }
 
   test("T6 shape: G-TxAllo has the best (or tied) average latency") {

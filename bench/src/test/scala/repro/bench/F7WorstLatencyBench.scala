@@ -11,7 +11,7 @@ import repro.harness.{Sweep, Tables}
 class F7WorstLatencyBench extends AnyFunSuite {
 
   test("T7: print worst-case latency table") {
-    println(Tables.sweepTable("T7 worst-case latency [blocks]", BenchData.sweep, _.worstLatency))
+    println(Tables.sweepTables("T7")(BenchData.sweep))
   }
 
   test("T7 shape: Shard Scheduler has the best (or near-tied) worst-case latency") {

@@ -16,7 +16,7 @@ import repro.harness.{Sweep, Tables}
 class F8RunningTimeBench extends AnyFunSuite {
 
   test("T8: print running time table") {
-    println(Tables.runningTimeTable(BenchData.sweep))
+    println(Tables.sweepTables("T8")(BenchData.sweep))
   }
 
   test("T8 shape: every allocator reports a plausible wall-clock time") {

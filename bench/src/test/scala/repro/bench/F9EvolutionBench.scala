@@ -13,7 +13,7 @@ import repro.harness.Tables
 class F9EvolutionBench extends AnyFunSuite {
 
   test("T9: print throughput evolution table") {
-    println(Tables.evolutionTable(BenchData.evolution))
+    println(Tables.evolutionTables("T9")(BenchData.evolution))
   }
 
   test("T9 shape: pure A-TxAllo average throughput is close to pure G-TxAllo") {

@@ -1,0 +1,42 @@
+package repro.jobs
+
+import org.apache.spark.sql.SparkSession
+import repro.harness.{Evolution, EvolutionConfig, Sweep, SweepConfig, Tables}
+
+/** spark-submit entry point for the reproduced tables T2-T10 (paper Figs.
+  * 2-10):
+  *
+  *   Figures [sf] [T2 ... T10]
+  *
+  * `sf` is the ledger scale factor (default 0.1, the benchmark scale). The ids
+  * pick the tables, printed in the order given; none means all. One comparison
+  * sweep feeds every requested table of T2-T8 and one evolution study feeds
+  * T9-T10. `SPARK_MASTER` and `SPARK_SHUFFLE_PARTITIONS` set the deployment.
+  */
+object Figures {
+
+  def main(args: Array[String]): Unit = {
+    val (sf, ids) = parse(args)
+    val spark = SparkSession.builder
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName("Figures")
+      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .getOrCreate()
+    lazy val sweep = Sweep.run(spark, SweepConfig(sf = sf))
+    lazy val evolution = Evolution.run(spark, EvolutionConfig(sf = sf))
+    for (id <- ids)
+      println(Tables.sweepTables.get(id).map(_(sweep)).getOrElse(Tables.evolutionTables(id)(evolution)))
+  }
+
+  /** The scale factor and the table ids. An unknown id is rejected here,
+    * before any Spark work.
+    */
+  def parse(args: Array[String]): (Double, Seq[String]) = {
+    val sf = args.headOption.flatMap(_.toDoubleOption)
+    val ids = args.toSeq.drop(sf.size)
+    val unknown = ids.filterNot(Tables.ids.contains)
+    require(unknown.isEmpty, s"unknown table id ${unknown.mkString(", ")}; valid ids: ${Tables.ids.mkString(" ")}")
+    (sf.getOrElse(0.1), if (ids.isEmpty) Tables.ids else ids)
+  }
+}

@@ -26,9 +26,12 @@ final class AllocState(val g: Graph, val params: TxAlloParams) {
   val lamHat: Array[Double] = new Array[Double](k)
 
   // Scratch for per-node neighbor-community weights (w_{v,C}): filled by
-  // `gather`, zeroed by `clear` before the next node is gathered.
+  // `gather`, zeroed by `clear` before the next node is gathered. `seen`
+  // marks the communities already in `touched`, so a zero-weight arc cannot
+  // list one twice.
   private val wvc = new Array[Double](k)
   private val touched = new Array[Int](k)
+  private val seen = new Array[Boolean](k)
 
   def communityThroughput(c: Int): Double = throughput(sigma(c), lamHat(c), lambda)
 
@@ -202,7 +205,7 @@ final class AllocState(val g: Graph, val params: TxAlloParams) {
     g.foreachNbr(v) { (u, w) =>
       val c = comm(u)
       if (c != Unassigned) {
-        if (wvc(c) == 0.0) { touched(nt) = c; nt += 1 }
+        if (!seen(c)) { seen(c) = true; touched(nt) = c; nt += 1 }
         wvc(c) += w
       }
     }
@@ -211,7 +214,7 @@ final class AllocState(val g: Graph, val params: TxAlloParams) {
 
   private def clear(nt: Int): Unit = {
     var t = 0
-    while (t < nt) { wvc(touched(t)) = 0.0; t += 1 }
+    while (t < nt) { wvc(touched(t)) = 0.0; seen(touched(t)) = false; t += 1 }
   }
 }
 

@@ -1,15 +1,35 @@
 package repro.harness
 
-/** Plain-text renderers for the reproduced tables (paper Figs. 2-10). Each
-  * bench suite and each spark-submit job prints through these so the same
-  * rows land in bench_output.txt and on stdout.
+import scala.collection.immutable.ListMap
+
+/** The catalogue of reproduced tables (paper Figs. 2-10): table id ->
+  * plain-text renderer. The bench suites and `repro.jobs.Figures` both print
+  * through it, so each table's title and metric are defined here only.
   */
 object Tables {
+
+  /** T2-T8, all rendered from one comparison sweep. */
+  val sweepTables: ListMap[String, SweepResult => String] = ListMap(
+    ("T2", sweepTable("T2 cross-shard transaction ratio gamma", _, _.gamma)),
+    ("T3", sweepTable("T3 workload balance rho / lambda", _, _.rhoNorm)),
+    ("T4", caseStudyTable),
+    ("T5", sweepTable("T5 normalized throughput Lambda/lambda", _, _.normThroughput)),
+    ("T6", sweepTable("T6 average confirmation latency zeta [blocks]", _, _.avgLatency)),
+    ("T7", sweepTable("T7 worst-case latency [blocks]", _, _.worstLatency)),
+    ("T8", sweepTable("T8 allocation running time [s]", _, _.allocMillis / 1000.0)))
+
+  /** T9-T10, both rendered from one evolution study. */
+  val evolutionTables: ListMap[String, EvolutionResult => String] = ListMap(
+    ("T9", evolutionTable),
+    ("T10", adaptiveTimeTable))
+
+  /** Every table id, in paper order. */
+  val ids: Seq[String] = (sweepTables.keys ++ evolutionTables.keys).toSeq
 
   private def fmt(x: Double): String = f"$x%10.4f"
 
   /** Pivot a sweep metric into one block per eta: rows = k, cols = methods. */
-  def sweepTable(title: String, res: SweepResult, value: SweepRow => Double): String = {
+  private def sweepTable(title: String, res: SweepResult, value: SweepRow => Double): String = {
     val sb = new StringBuilder
     sb ++= s"== $title (nTx=${res.nTx}, nAccounts=${res.nAccounts}) ==\n"
     for (eta <- res.cfg.etas) {
@@ -28,7 +48,7 @@ object Tables {
   }
 
   /** T4: per-shard normalized workload (sigma_i / lambda) case study. */
-  def caseStudyTable(res: SweepResult): String = {
+  private def caseStudyTable(res: SweepResult): String = {
     val k = res.cfg.caseStudyK
     val eta = res.cfg.caseStudyEta
     val sb = new StringBuilder
@@ -43,12 +63,8 @@ object Tables {
     sb.result()
   }
 
-  /** T8: allocation running time (seconds). */
-  def runningTimeTable(res: SweepResult): String =
-    sweepTable("T8 allocation running time [s]", res, _.allocMillis / 1000.0)
-
   /** T9: throughput evolution per strategy + per-strategy averages. */
-  def evolutionTable(res: EvolutionResult): String = {
+  private def evolutionTable(res: EvolutionResult): String = {
     val sb = new StringBuilder
     sb ++= s"== T9 throughput evolution (k=${res.cfg.k}, eta=${res.cfg.eta}, " +
       s"steps=${res.cfg.nSteps}, nTx=${res.nTx}) ==\n"
@@ -63,7 +79,7 @@ object Tables {
   }
 
   /** T10: per-step allocation update time, pure-G vs hybrid/adaptive. */
-  def adaptiveTimeTable(res: EvolutionResult): String = {
+  private def adaptiveTimeTable(res: EvolutionResult): String = {
     val sb = new StringBuilder
     sb ++= s"== T10 per-step update time [ms] (bootstrap G-TxAllo: ${res.bootstrapMillis} ms) ==\n"
     sb ++= f"${"step"}%6s" + res.runs.map(r => f"${r.name}%14s").mkString + "\n"

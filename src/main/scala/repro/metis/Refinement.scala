@@ -21,7 +21,6 @@ object Refinement {
     while (v < g.n) { load(part(v)) += nodeW(v); v += 1 }
 
     val conn = new Array[Double](k)
-    val touched = new Array[Int](k)
     var sweep = 0
     var moved = true
     while (moved && sweep < MaxSweeps) {
@@ -29,12 +28,7 @@ object Refinement {
       v = 0
       while (v < g.n) {
         val p = part(v)
-        var nt = 0
-        g.foreachNbr(v) { (u, w) =>
-          val c = part(u)
-          if (conn(c) == 0.0) { touched(nt) = c; nt += 1 }
-          conn(c) += w
-        }
+        g.foreachNbr(v)((u, w) => conn(part(u)) += w)
         // Balance mode: when v's part is over the cap, METIS-style refinement
         // evacuates boundary nodes even at a cut loss (least-bad move wins,
         // ties prefer the lighter part; any part is a target, so fully
@@ -52,9 +46,7 @@ object Refinement {
           }
           q += 1
         }
-        var t = 0
-        while (t < nt) { conn(touched(t)) = 0.0; t += 1 }
-        conn(p) = 0.0
+        java.util.Arrays.fill(conn, 0.0) // the scan above is O(k) already
         if (best >= 0 && (bestGain > 0 || (overloaded && load(p) - nodeW(v) >= load(best)))) {
           load(p) -= nodeW(v)
           load(best) += nodeW(v)

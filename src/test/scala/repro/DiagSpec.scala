@@ -6,55 +6,48 @@ import repro.core._
 
 object Diag extends Tag("repro.Diag")
 
-/** Diagnostic (excluded from CI assertions): prints Louvain/TxAllo structure
-  * on the bench ledger. Run with: testOnly repro.DiagSpec
+/** Whole-pipeline invariants of the graph model on generated ledgers: for a
+  * complete mapping, sum_i lamHat_i is the total weight W and
+  * sum_i sigma_i = W (1 + (2 eta - 1) cut), because every intra edge counts
+  * once and every cut edge eta times on each side; G-TxAllo's reported
+  * throughput is the one its mapping has, and never below its start.
   */
 class DiagSpec extends SparkSpec {
 
+  private def assertClose(actual: Double, expected: Double, what: String): Unit =
+    assert(math.abs(actual - expected) <= 1e-9 * math.abs(expected), s"$what: $actual vs $expected")
+
+  /** The lamHat and sigma identities for a complete mapping `assign`. */
+  private def assertWorkloadIdentities(g: Graph, params: TxAlloParams, assign: Array[Int], name: String): Unit = {
+    val st = AllocState.of(g, params, assign)
+    assertClose(st.lamHat.sum, g.totalWeight, s"$name sum lamHat")
+    val cut = GraphMetrics.cutRatio(g, assign)
+    assertClose(st.sigma.sum, g.totalWeight * (1 + (2 * params.eta - 1) * cut), s"$name sum sigma")
+  }
+
+  /** G-TxAllo's final throughput is that of its mapping and not below the
+    * throughput after the join phase.
+    */
+  private def assertReport(g: Graph, params: TxAlloParams, res: AllocResult): Unit = {
+    assert(AllocState.of(g, params, res.assign).totalThroughput == res.finalThroughput)
+    assert(res.finalThroughput >= res.initThroughput, s"${res.finalThroughput} < ${res.initThroughput}")
+  }
+
   test("diagnose hub shard packing", Diag) {
-    val p = ChainParams.atScale(0.02, seed = 42)
-    val txs = TxGen.transactions(spark, p)
-    val g = TxGraph.fromTxs(txs)
-    println(s"graph n=${g.n} totalWeight=${g.totalWeight}")
-    val hub = g.indexOf(0L)
-    println(s"hub strength=${g.strength(hub)} (share=${g.strength(hub) / g.totalWeight})")
-
-    val louvain = Louvain.cluster(g)
-    val l = louvain.max + 1
-    val wl = AllocState.of(g, TxAlloParams.default(g, l, 2.0), louvain).sigma
-    val top = (0 until l).sortBy(-wl(_)).take(10)
-    println(s"louvain: l=$l communities; top-10 workload share=${top.map(c => f"${wl(c) / g.totalWeight}%.3f").mkString(",")}")
-    println(s"hub community workload share=${wl(louvain(hub)) / g.totalWeight}")
-    val hubCommSize = louvain.count(_ == louvain(hub))
-    println(s"hub community size=$hubCommSize nodes")
-
-    val k = 20
-    val params = TxAlloParams.default(g, k, 2.0)
+    val g = TxGraph.fromTxs(TxGen.transactions(spark, ChainParams.atScale(0.02, seed = 42)))
+    val params = TxAlloParams.default(g, 20, 2.0)
     val res = GTxAllo.run(g, params)
-    val sig = AllocState.of(g, params, res.assign).sigma
-    val lambda = g.totalWeight / k
-    println(s"gtxallo shard norm workloads=${sig.map(s => f"${s / lambda}%.2f").mkString(",")}")
-    val hubShard = res.assign(hub)
-    println(s"hub shard=$hubShard size=${res.assign.count(_ == hubShard)} nodes")
-    println(s"init thr=${res.initThroughput / lambda} final thr=${res.finalThroughput / lambda} sweeps=${res.sweeps}")
+    assertWorkloadIdentities(g, params, res.assign, "G-TxAllo")
+    assertReport(g, params, res)
   }
 
   test("compare graph-model throughput: TxAllo vs METIS partition", Diag) {
-    val p = ChainParams.atScale(0.01, seed = 42)
-    val txs = TxGen.transactions(spark, p)
-    val g = TxGraph.fromTxs(txs)
-    val k = 10; val eta = 4.0
-    val params = TxAlloParams.default(g, k, eta)
+    val g = TxGraph.fromTxs(TxGen.transactions(spark, ChainParams.atScale(0.01, seed = 42)))
+    val params = TxAlloParams.default(g, 10, 4.0)
     val tx = GTxAllo.run(g, params)
-    val (metisMap, _) = repro.metis.Metis.allocate(g, k)
-    val metisAssign = g.ids.map(metisMap)
-    def modelThr(assign: Array[Int]): Double = AllocState.of(g, params, assign).totalThroughput
-    val lambda = params.lambda
-    println(s"[cmp] graph-model thr: txallo=${tx.finalThroughput / lambda} " +
-      s"metis=${modelThr(metisAssign) / lambda} sweeps=${tx.sweeps}")
-    println(s"[cmp] cut: txallo=${GraphMetrics.cutRatio(g, tx.assign)} " +
-      s"metis=${GraphMetrics.cutRatio(g, metisAssign)}")
-    println(s"[cmp] txallo norm wl=${AllocState.of(g, params, tx.assign).sigma.map(x => f"${x / lambda}%.2f").mkString(",")}")
-    println(s"[cmp] metis  norm wl=${AllocState.of(g, params, metisAssign).sigma.map(x => f"${x / lambda}%.2f").mkString(",")}")
+    val (metisMap, _) = repro.metis.Metis.allocate(g, params.k)
+    assertWorkloadIdentities(g, params, tx.assign, "G-TxAllo")
+    assertWorkloadIdentities(g, params, g.ids.map(metisMap), "METIS")
+    assertReport(g, params, tx)
   }
 }

@@ -175,4 +175,12 @@ class AllocStateSpec extends AnyFunSuite {
     assert(res.assign.toSeq == Seq(1, 1, 1))
     assert(res.sweeps == 1)
   }
+
+  test("zero-weight arcs list each neighbour community once") {
+    // Node 1's arcs weigh 0.0, so w_{1,0} stays 0.0 after each of them.
+    val g = Graph.fromEdges(Seq((1L, 2L, 0.0), (1L, 3L, 0.0), (1L, 4L, 0.0), (2L, 3L, 1.0), (3L, 4L, 1.0)))
+    val st = AllocState.of(g, TxAlloParams.default(g, 2, 2.0), Array(AllocState.Unassigned, 0, 0, 0))
+    val res = st.allocate(Array.range(0, g.n), System.nanoTime())
+    assert(res.assign.forall(s => s >= 0 && s < 2), res.assign.toSeq)
+  }
 }

@@ -1,6 +1,7 @@
 package repro.harness
 
 import repro.SparkSpec
+import repro.jobs.Figures
 
 /** Smoke tests of the table harnesses at tiny scale (the bench project runs
   * them at SF=0.1 and prints the full tables).
@@ -32,13 +33,13 @@ class HarnessSpec extends SparkSpec {
   }
 
   test("sweep tables render every cell") {
-    val t2 = Tables.sweepTable("T2 gamma", sweep, _.gamma)
+    val t2 = Tables.sweepTables("T2")(sweep)
     assert(!t2.contains("         -"), s"missing cell in:\n$t2")
     assert(t2.contains("eta = 2.0") && t2.contains("eta = 6.0"))
     Sweep.Methods.foreach(m => assert(t2.contains(m)))
-    val t4 = Tables.caseStudyTable(sweep)
+    val t4 = Tables.sweepTables("T4")(sweep)
     assert(Sweep.Methods.forall(t4.contains))
-    val t8 = Tables.runningTimeTable(sweep)
+    val t8 = Tables.sweepTables("T8")(sweep)
     assert(t8.contains("T8"))
   }
 
@@ -69,9 +70,40 @@ class HarnessSpec extends SparkSpec {
   }
 
   test("evolution tables render") {
-    val t9 = Tables.evolutionTable(evo)
+    val t9 = Tables.evolutionTables("T9")(evo)
     assert(t9.contains("T9") && t9.contains("pure-G") && t9.contains("avg"))
-    val t10 = Tables.adaptiveTimeTable(evo)
+    val t10 = Tables.evolutionTables("T10")(evo)
     assert(t10.contains("T10") && t10.contains("(G)") && t10.contains("(A)"))
+  }
+
+  test("catalogue ids are unique and cover T2-T10") {
+    assert(Tables.ids == (2 to 10).map(i => s"T$i"))
+    assert(Tables.ids.distinct == Tables.ids)
+  }
+
+  test("every catalogue table renders under its own id") {
+    val rendered = Tables.sweepTables.map { case (id, render) => id -> render(sweep) } ++
+      Tables.evolutionTables.map { case (id, render) => id -> render(evo) }
+    assert(rendered.keys.toSeq == Tables.ids)
+    rendered.foreach { case (id, text) => assert(text.startsWith(s"== $id "), text) }
+  }
+
+  test("Figures parses an optional scale factor, then table ids") {
+    assert(Figures.parse(Array()) == ((0.1, Tables.ids)))
+    assert(Figures.parse(Array("0.5")) == ((0.5, Tables.ids)))
+    assert(Figures.parse(Array("T9", "T2")) == ((0.1, Seq("T9", "T2"))))
+    assert(Figures.parse(Array("0.02", "T4")) == ((0.02, Seq("T4"))))
+  }
+
+  test("Figures rejects an unknown id before any Spark work") {
+    // T2 comes first: were ids checked only as tables are printed, its sweep
+    // would run and print before T11 failed.
+    val out = new java.io.ByteArrayOutputStream
+    val e = intercept[IllegalArgumentException] {
+      Console.withOut(out)(Figures.main(Array("0.002", "T2", "T11")))
+    }
+    assert(e.getMessage.contains("T11"))
+    Tables.ids.foreach(id => assert(e.getMessage.contains(id)))
+    assert(out.size == 0)
   }
 }

@@ -121,4 +121,10 @@ class MetisSpec extends AnyFunSuite {
     val mean = loads.sum / 4
     assert(loads.max > 1.2 * mean, s"expected an overloaded shard, loads=${loads.toSeq}")
   }
+
+  test("refinement lists each neighbour part once under zero-weight arcs") {
+    val g = Graph.fromEdges(Seq((1L, 2L, 0.0), (1L, 3L, 0.0), (1L, 4L, 0.0), (2L, 3L, 1.0), (3L, 4L, 1.0)))
+    val part = Refinement.refine(g, Array(1.0, 1.0, 1.0, 1.0), Array(1, 0, 0, 0), 2, 10.0)
+    assert(part.forall(s => s >= 0 && s < 2), part.toSeq)
+  }
 }
