@@ -12,7 +12,7 @@ import repro.harness.{Sweep, Tables}
 class F4WorkloadDistBench extends AnyFunSuite {
 
   private val k = BenchData.sweep.cfg.caseStudyK
-  private val eta = BenchData.sweep.cfg.caseStudyEta
+  private val eta = Sweep.CaseStudyEta
 
   private def norm(method: String): Seq[Double] = {
     val r = BenchData.row(method, k, eta)

@@ -5,8 +5,8 @@ package repro.chain
   * The generator plants `nCommunities` equal-sized latent account communities.
   * A transaction picks a community with a Zipf-like skew, its accounts inside
   * that community with another Zipf-like skew, and crosses community borders
-  * with probability `1 - pIntra`. A single hub account (id 0) participates in
-  * `hubShare` of all transactions — the paper reports one Ethereum account on
+  * with probability `1 - PIntra`. A single hub account (id 0) participates in
+  * `HubShare` of all transactions — the paper reports one Ethereum account on
   * 11% of all 91M transactions, which is what breaks weight-balanced (METIS)
   * allocation. Small shares of self-loop and multi-account (3-4 accounts)
   * transactions exercise the 1/pi(Tx) edge-weight splitting.
@@ -19,46 +19,45 @@ package repro.chain
   *                     sampling typically touches most but not all of it)
   * @param nCommunities number of planted communities (should exceed the
   *                     largest shard count k swept in experiments)
-  * @param txPerBlock   transactions per block (Ethereum mid-2020: ~150)
-  * @param hubShare     fraction of transactions involving the hub account
-  * @param selfShare    fraction of single-account (self-loop) transactions
-  * @param multi3Share  fraction of 3-account transactions
-  * @param multi4Share  fraction of 4-account transactions
-  * @param pIntra       probability a counterparty is drawn from the same
-  *                     community as the primary account
-  * @param commAlpha    Pareto tail exponent of the community-activity skew
-  * @param rankAlpha    Pareto tail exponent of the within-community
-  *                     account-activity skew
   * @param seed         base RNG seed
   */
 final case class ChainParams(
     nTx: Long,
     nAccounts: Long,
     nCommunities: Int,
-    txPerBlock: Int = 150,
-    hubShare: Double = 0.11,
-    selfShare: Double = 0.01,
-    multi3Share: Double = 0.03,
-    multi4Share: Double = 0.01,
-    pIntra: Double = 0.92,
-    // Mild skew: the hottest community carries ~5% of draws. Stronger skew
-    // glues a paper-inconsistent giant Louvain community around the hub
-    // (the real Ethereum hub community holds ~11-15% of the workload).
-    commAlpha: Double = 0.08,
-    rankAlpha: Double = 0.70,
     seed: Long = 42L) {
   require(nTx > 0 && nAccounts > 0 && nCommunities > 0, "sizes must be positive")
   require(nAccounts >= nCommunities * 4L, "need >=4 accounts per community")
-  require(hubShare + selfShare + multi3Share + multi4Share < 1.0, "tx-type shares exceed 1")
 
   /** Accounts per community (communities are equal-sized blocks of ids). */
   def commSize: Long = nAccounts / nCommunities
 
   /** Number of blocks in the ledger. */
-  def nBlocks: Long = (nTx + txPerBlock - 1) / txPerBlock
+  def nBlocks: Long = (nTx + ChainParams.TxPerBlock - 1) / ChainParams.TxPerBlock
 }
 
 object ChainParams {
+
+  /** Transactions per block (Ethereum mid-2020: ~150). */
+  val TxPerBlock = 150
+  /** Fraction of transactions involving the hub account. */
+  val HubShare = 0.11
+  /** Fraction of single-account (self-loop) transactions. */
+  val SelfShare = 0.01
+  /** Fraction of 3-account transactions. */
+  val Multi3Share = 0.03
+  /** Fraction of 4-account transactions. */
+  val Multi4Share = 0.01
+  /** Probability a counterparty is drawn from the primary account's community. */
+  val PIntra = 0.92
+  /** Pareto tail exponent of the community-activity skew. Mild skew: the
+    * hottest community carries ~5% of draws. Stronger skew glues a
+    * paper-inconsistent giant Louvain community around the hub (the real
+    * Ethereum hub community holds ~11-15% of the workload).
+    */
+  val CommAlpha = 0.08
+  /** Pareto tail exponent of the within-community account-activity skew. */
+  val RankAlpha = 0.70
 
   /** TPC-H-style scale factor: SF=1 is ~6M transactions / ~860K accounts,
     * mirroring the paper's 91.8M-tx / 12.6M-account ratio (~1 account per

@@ -2,6 +2,7 @@ package repro.chain
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.chain.ChainParams._
 
 /** Synthetic Ethereum-like ledger generator (Spark DataFrame, deterministic).
   *
@@ -28,14 +29,14 @@ object TxGen {
   /** Account id for a (community, in-community Zipf rank) draw. Rank 0 of
     * every community is reserved (rank 0 of community 0 is the hub, reachable
     * only through the explicit hub branch), so the hub's transaction share is
-    * exactly `hubShare`.
+    * exactly `HubShare`.
     */
   private def acct(comm: Column, u: Column, p: ChainParams): Column =
-    comm * p.commSize + lit(1L) + zipfIdx(u, p.rankAlpha, p.commSize - 1)
+    comm * p.commSize + lit(1L) + zipfIdx(u, RankAlpha, p.commSize - 1)
 
   /** Shift an account to the next in-community slot (stays in [1, commSize)).
     * Used to resolve counterparty == primary collisions, which would
-    * otherwise inflate the self-loop share far beyond `selfShare` (top Zipf
+    * otherwise inflate the self-loop share far beyond `SelfShare` (top Zipf
     * ranks collide often).
     */
   private def bump(a: Column, p: ChainParams): Column = {
@@ -63,15 +64,14 @@ object TxGen {
       col("txId") +:
         (0 to 11).map(i => rand(s + i) as s"u$i"): _*)
 
-    val hubCut  = p.hubShare
-    val selfCut = hubCut + p.selfShare
-    val m3Cut   = selfCut + p.multi3Share
-    val m4Cut   = m3Cut + p.multi4Share
+    val selfCut = HubShare + SelfShare
+    val m3Cut   = selfCut + Multi3Share
+    val m4Cut   = m3Cut + Multi4Share
 
     // Projection 2: deterministic functions of the materialized draws.
     val rType = col("u0")
-    val isHub  = rType < hubCut
-    val isSelf = rType >= hubCut && rType < selfCut
+    val isHub  = rType < HubShare
+    val isSelf = rType >= HubShare && rType < selfCut
     val isM3   = rType >= selfCut && rType < m3Cut
     val isM4   = rType >= m3Cut && rType < m4Cut
 
@@ -81,10 +81,10 @@ object TxGen {
     // mirroring the exchange-like most-active Ethereum account that transacts
     // with everyone — this is precisely what forces weight-balanced (METIS)
     // allocations to cut most hub edges (paper Figs. 2/4b).
-    val cMain = zipfIdx(col("u1"), p.commAlpha, nC)
+    val cMain = zipfIdx(col("u1"), CommAlpha, nC)
     val acc1  = when(isHub, lit(0L)).otherwise(acct(cMain, col("u2"), p))
 
-    // Counterparty community: same as primary w.p. pIntra, else a fresh draw.
+    // Counterparty community: same as primary w.p. PIntra, else a fresh draw.
     // Hub counterparties are spread UNIFORMLY over communities: the
     // exchange-like hub transacts with one-off users everywhere, so no single
     // community glues to it (otherwise Louvain forms a paper-inconsistent
@@ -92,7 +92,7 @@ object TxGen {
     // so referencing it in both branches is safe.
     def party(uCross: Column, uComm: Column, uRank: Column): Column = {
       val c = when(isHub, (uComm * nC).cast("long") % nC)
-        .otherwise(when(uCross < p.pIntra, cMain).otherwise(zipfIdx(uComm, p.commAlpha, nC)))
+        .otherwise(when(uCross < PIntra, cMain).otherwise(zipfIdx(uComm, CommAlpha, nC)))
       acct(c, uRank, p)
     }
 
@@ -106,7 +106,7 @@ object TxGen {
 
     drawn.select(
       col("txId"),
-      (col("txId") / p.txPerBlock).cast("long") as "block",
+      (col("txId") / TxPerBlock).cast("long") as "block",
       array_sort(array_distinct(filter(array(acc1, acc2, acc3, acc4), _.isNotNull))) as "accounts",
     )
   }

@@ -9,17 +9,18 @@ package repro.core
   *                  |T| / k, i.e. totalWeight / k on the graph)
   * @param epsilon   convergence threshold on the per-sweep throughput gain
   *                  (paper setting: 1e-5 * |T|)
-  * @param maxSweeps safety cap on optimization sweeps
   */
 final case class TxAlloParams(
     k: Int,
     eta: Double,
     lambda: Double,
-    epsilon: Double,
-    maxSweeps: Int = 500) {
+    epsilon: Double) {
   require(k >= 1, "k must be >= 1")
   require(eta >= 1.0, "eta must be >= 1")
   require(lambda > 0.0, "lambda must be positive")
+
+  /** Safety cap on optimization sweeps. */
+  val maxSweeps: Int = 500
 }
 
 object TxAlloParams {

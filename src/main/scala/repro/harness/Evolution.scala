@@ -18,10 +18,8 @@ final case class EvolutionConfig(
     sf: Double = 0.1,
     k: Int = 20,
     eta: Double = 2.0,
-    trainFrac: Double = 0.9,
     nSteps: Int = 12,
-    hybridGaps: Seq[Int] = Seq(3, 5, 10),
-    seed: Long = 42L)
+    hybridGaps: Seq[Int] = Seq(3, 5, 10))
 
 /** One time step of one strategy. */
 final case class StepRecord(step: Int, normThroughput: Double, gamma: Double,
@@ -37,65 +35,56 @@ final case class EvolutionResult(cfg: EvolutionConfig, nTx: Long,
 
 object Evolution {
 
+  /** Chronological share of the ledger's blocks the bootstrap runs on. */
+  val TrainFrac = 0.9
+
   def run(spark: SparkSession, cfg: EvolutionConfig): EvolutionResult = {
-    val params = ChainParams.atScale(cfg.sf, cfg.seed)
+    val params = ChainParams.atScale(cfg.sf)
     val txs = TxGen.transactions(spark, params).cache()
     val nTx = txs.count()
 
-    val trainBlocks = (params.nBlocks * cfg.trainFrac).toLong
+    val trainBlocks = (params.nBlocks * TrainFrac).toLong
     val stepBlocks = math.max(1L, (params.nBlocks - trainBlocks) / cfg.nSteps)
 
-    val trainTxs = txs.where(col("block") < trainBlocks)
-    val baseGraph = TxGraph.fromTxs(trainTxs)
-    val bootstrap = GTxAllo.run(baseGraph, TxAlloParams.default(baseGraph, cfg.k, cfg.eta))
-
-    // Pre-collect each step's edge delta, V-hat and exploded pairs once; all
-    // strategies replay the same stream.
-    final case class Step(
-        txAcc: org.apache.spark.sql.DataFrame,
-        edges: IndexedSeq[(Long, Long, Double)],
-        active: Set[Long])
-    val steps = (0 until cfg.nSteps).map { t =>
-      val lo = trainBlocks + t * stepBlocks
-      val hi = lo + stepBlocks
-      val stepTxs = txs.where(col("block") >= lo && col("block") < hi)
-      val txAcc = TxGen.txAccounts(stepTxs).cache()
-      val edges = TxGraph
-        .edges(stepTxs)
-        .collect()
-        .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
-        .toIndexedSeq
-      val active = txAcc.select("account").distinct().collect().map(_.getLong(0)).toSet
-      Step(txAcc, edges, active)
-    }
+    var graph = TxGraph.fromTxs(txs.where(col("block") < trainBlocks))
+    val bootstrap = GTxAllo.run(graph, TxAlloParams.default(graph, cfg.k, cfg.eta))
 
     val strategies: Seq[(String, Option[Int])] =
       Seq(("pure-G", Some(1)), ("pure-A", None)) ++
         cfg.hybridGaps.map(g => (s"hybrid-g$g", Some(g)))
+    val assigns = Array.fill(strategies.size)(bootstrap.toMap)
+    val records = Array.fill(strategies.size)(Vector.newBuilder[StepRecord])
 
-    val runs = strategies.map { case (name, gapOpt) =>
-      var graph = baseGraph
-      var assign = bootstrap.toMap
-      val recs = steps.zipWithIndex.map { case (step, t) =>
-        // The update time covers the merge as well as the allocation: a
-        // deployment does both per step.
-        val t0 = System.nanoTime()
-        graph = Graph.merge(graph, step.edges)
-        val p = TxAlloParams.default(graph, cfg.k, cfg.eta)
+    for (t <- 0 until cfg.nSteps) {
+      val lo = trainBlocks + t * stepBlocks
+      val stepTxs = txs.where(col("block") >= lo && col("block") < lo + stepBlocks)
+      val edges = TxGraph.edges(stepTxs).collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
+      // V-hat, the step's accounts: each is an edge endpoint, since a
+      // single-account transaction becomes a self-loop row.
+      val active = edges.iterator.flatMap(e => Iterator(e._1, e._2)).toSet
+      // Each strategy's update time includes the shared merge, as a deployment's would.
+      val t0 = System.nanoTime()
+      graph = Graph.merge(graph, edges)
+      val mergeNanos = System.nanoTime() - t0
+      val p = TxAlloParams.default(graph, cfg.k, cfg.eta)
+      val stepAcc = TxGen.txAccounts(stepTxs)
+
+      for (((_, gapOpt), i) <- strategies.zipWithIndex) {
         val useGlobal = gapOpt.exists(g => (t + 1) % g == 0)
+        val t1 = System.nanoTime()
         val res =
           if (useGlobal) GTxAllo.run(graph, p)
-          else ATxAllo.run(graph, assign, step.active, p)
-        val updateMillis = (System.nanoTime() - t0) / 1000000
-        assign = res.toMap
-        val m = Metrics.evaluate(step.txAcc, Alloc.toDf(spark, assign), cfg.k, cfg.eta)
-        StepRecord(t, m.normThroughput, m.gamma, updateMillis, useGlobal)
+          else ATxAllo.run(graph, assigns(i), active, p)
+        val updateMillis = (mergeNanos + System.nanoTime() - t1) / 1000000
+        assigns(i) = res.toMap
+        Alloc.requireValid(assigns(i), graph.ids, cfg.k)
+        val m = Metrics.evaluate(stepAcc, Alloc.toDf(spark, assigns(i)), cfg.k, cfg.eta)
+        records(i) += StepRecord(t, m.normThroughput, m.gamma, updateMillis, useGlobal)
       }
-      StrategyRun(name, recs)
     }
 
-    steps.foreach(s => s.txAcc.unpersist())
     txs.unpersist()
+    val runs = strategies.zip(records).map { case ((name, _), recs) => StrategyRun(name, recs.result()) }
     EvolutionResult(cfg, nTx, bootstrap.millis, runs)
   }
 }

@@ -50,7 +50,7 @@ object Tables {
   /** T4: per-shard normalized workload (sigma_i / lambda) case study. */
   private def caseStudyTable(res: SweepResult): String = {
     val k = res.cfg.caseStudyK
-    val eta = res.cfg.caseStudyEta
+    val eta = Sweep.CaseStudyEta
     val sb = new StringBuilder
     sb ++= s"== T4 per-shard normalized workload sigma_i/lambda (k=$k, eta=$eta) ==\n"
     for (m <- Sweep.Methods) {

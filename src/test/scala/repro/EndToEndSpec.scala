@@ -1,10 +1,8 @@
 package repro
 
-import repro.alloc.{Alloc, HashAllocator, ShardScheduler}
 import repro.chain.{ChainParams, TxGen}
-import repro.core.{GTxAllo, TxAlloParams, TxGraph}
-import repro.eval.Metrics
-import repro.metis.Metis
+import repro.core.TxGraph
+import repro.harness.{Sweep, SweepConfig}
 
 /** Full-pipeline integration: the paper's qualitative ordering must hold on
   * the synthetic ledger at test scale (shape reproduction of Figs. 2-5).
@@ -16,29 +14,16 @@ class EndToEndSpec extends SparkSpec {
   // greedy can trail METIS slightly; from k ~ 20 G-TxAllo leads consistently.
   private val k = 20
   private val eta = 2.0
-  private lazy val p = ChainParams.atScale(0.01, seed = 42)
-  private lazy val txs = TxGen.transactions(spark, p).cache()
-  private lazy val txAcc = TxGen.txAccounts(txs).cache()
-  private lazy val g = TxGraph.fromTxs(txs)
+  private lazy val p = ChainParams.atScale(0.01)
+  private lazy val sweep =
+    Sweep.run(spark, SweepConfig(sf = 0.01, ks = Seq(k), etas = Seq(eta), caseStudyK = k))
+  private lazy val g = TxGraph.fromTxs(TxGen.transactions(spark, p))
 
-  private lazy val hashM = {
-    val alloc = HashAllocator.allocate(TxGen.accounts(txs), k)
-    Metrics.evaluate(txAcc, alloc, k, eta)
-  }
-  private lazy val metisM = {
-    val (m, _) = Metis.allocate(g, k)
-    Metrics.evaluate(txAcc, Alloc.toDf(spark, m), k, eta)
-  }
-  private lazy val schedM = {
-    val stream = txs.select("txId", "accounts").sort("txId").collect()
-      .map(r => (r.getLong(0), r.getSeq[Long](1).toArray))
-    val (m, _) = ShardScheduler.allocate(stream.iterator, k, eta)
-    Metrics.evaluate(txAcc, Alloc.toDf(spark, m), k, eta)
-  }
-  private lazy val txalloM = {
-    val res = GTxAllo.run(g, TxAlloParams.default(g, k, eta))
-    Metrics.evaluate(txAcc, Alloc.toDf(spark, res.toMap), k, eta)
-  }
+  private def metrics(method: String) = sweep.rows.find(_.method == method).get.metrics
+  private lazy val hashM = metrics(Sweep.MethodHash)
+  private lazy val metisM = metrics(Sweep.MethodMetis)
+  private lazy val schedM = metrics(Sweep.MethodScheduler)
+  private lazy val txalloM = metrics(Sweep.MethodTxAllo)
 
   test("hash allocation is dominated on the cross-shard ratio") {
     assert(hashM.gamma > 0.8, s"hash gamma ${hashM.gamma}")
@@ -61,8 +46,7 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("all methods satisfy completeness over the account universe") {
-    val nAcc = TxGen.accounts(txs).count()
-    assert(g.n.toLong == nAcc)
+    assert(g.n.toLong == sweep.nAccounts)
     Seq(hashM, metisM, schedM, txalloM).foreach { m =>
       assert(m.nTx == p.nTx, s"allocation dropped transactions: ${m.nTx} != ${p.nTx}")
     }

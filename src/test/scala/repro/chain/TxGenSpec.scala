@@ -2,6 +2,7 @@ package repro.chain
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.chain.ChainParams._
 
 /** Synthetic ledger generator: determinism, schema, and the structural
   * properties the paper's evaluation depends on (DESIGN.md substitution #1).
@@ -18,7 +19,7 @@ class TxGenSpec extends SparkSpec {
   }
 
   test("block = txId / txPerBlock") {
-    val bad = txs.where(col("block") =!= (col("txId") / p.txPerBlock).cast("long")).count()
+    val bad = txs.where(col("block") =!= (col("txId") / TxPerBlock).cast("long")).count()
     assert(bad == 0)
     val nBlocks = txs.select(countDistinct("block")).collect()(0).getLong(0)
     assert(nBlocks == p.nBlocks)
@@ -48,7 +49,7 @@ class TxGenSpec extends SparkSpec {
   test("hub account 0 appears in ~hubShare of transactions") {
     val hubTx = txs.where(array_contains(col("accounts"), 0L)).count()
     val share = hubTx.toDouble / p.nTx
-    assert(share > p.hubShare - 0.02 && share < p.hubShare + 0.02, s"hub share $share")
+    assert(share > HubShare - 0.02 && share < HubShare + 0.02, s"hub share $share")
   }
 
   test("hub account only appears through the hub branch (rank 0 reserved)") {
@@ -65,13 +66,13 @@ class TxGenSpec extends SparkSpec {
   test("self-loop transaction share is close to selfShare") {
     val selfTx = txs.where(size(col("accounts")) === 1).count()
     val share = selfTx.toDouble / p.nTx
-    assert(share > p.selfShare * 0.5 && share < p.selfShare * 2.5, s"self share $share")
+    assert(share > SelfShare * 0.5 && share < SelfShare * 2.5, s"self share $share")
   }
 
   test("multi-account transaction share is close to multi3+multi4 shares") {
     val multiTx = txs.where(size(col("accounts")) >= 3).count()
     val share = multiTx.toDouble / p.nTx
-    val expected = p.multi3Share + p.multi4Share
+    val expected = Multi3Share + Multi4Share
     assert(share > expected * 0.5 && share < expected * 1.5, s"multi share $share")
   }
 
@@ -91,7 +92,7 @@ class TxGenSpec extends SparkSpec {
     val total = pairs.count()
     val intra = pairs.where(col("c1") === col("c2")).count()
     val ratio = intra.toDouble / total
-    assert(ratio > p.pIntra - 0.08, s"intra-community ratio $ratio vs pIntra ${p.pIntra}")
+    assert(ratio > PIntra - 0.08, s"intra-community ratio $ratio vs pIntra $PIntra")
   }
 
   test("txAccounts explodes to one row per (tx, account)") {
@@ -116,6 +117,5 @@ class TxGenSpec extends SparkSpec {
   test("parameter validation") {
     assertThrows[IllegalArgumentException](ChainParams(0, 10, 1))
     assertThrows[IllegalArgumentException](ChainParams(10, 10, 8)) // <4 accounts/comm
-    assertThrows[IllegalArgumentException](ChainParams(10, 100, 4, hubShare = 0.9, selfShare = 0.2))
   }
 }

@@ -159,6 +159,19 @@ class TxGraphSpec extends SparkSpec {
     }
   }
 
+  test("the edge rows' endpoints are the accounts of the ledger and of any block window") {
+    // Evolution takes a step's V-hat from its edge rows on this invariant.
+    val txs = TxGen.transactions(spark, ChainParams.atScale(0.002, seed = 4)).cache()
+    for (part <- Seq(txs, txs.where(col("block") >= 72 && col("block") < 76),
+                     txs.where(col("block") >= 76 && col("block") < 80))) {
+      assert(part.where(size(col("accounts")) === 1).count() > 0, "no self-loop transaction")
+      val ends = TxGraph.edges(part).collect().flatMap(r => Seq(r.getLong(0), r.getLong(1))).toSet
+      val accounts = TxGen.txAccounts(part).select("account").distinct().collect().map(_.getLong(0)).toSet
+      assert(ends == accounts)
+    }
+    txs.unpersist()
+  }
+
   test("the ledger graph is pinned, and the edge rows rebuild it") {
     val txs = TxGen.transactions(spark, ChainParams.atScale(0.002, seed = 4))
     val g = TxGraph.fromTxs(txs)

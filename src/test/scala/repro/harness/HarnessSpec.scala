@@ -29,6 +29,7 @@ class HarnessSpec extends SparkSpec {
       assert(r.normThroughput > 0.0 && r.normThroughput <= r.k + 1e-9, s"$r")
       assert(r.avgLatency >= 1.0 && r.worstLatency >= r.avgLatency - 1e-9, s"$r")
       assert(r.allocMillis >= 0)
+      assert(r.metrics.nTx == sweep.nTx, s"$r evaluated ${r.metrics.nTx} of ${sweep.nTx} transactions")
     }
   }
 
