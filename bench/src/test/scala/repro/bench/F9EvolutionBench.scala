@@ -32,7 +32,7 @@ class F9EvolutionBench extends AnyFunSuite {
 
   test("T9 shape: every strategy keeps positive throughput at every step") {
     BenchData.evolution.runs.foreach { r =>
-      r.steps.foreach(s => assert(s.normThroughput > 1.0, s"${r.name} step ${s.step}: ${s.normThroughput}"))
+      for ((s, t) <- r.steps.zipWithIndex) assert(s.normThroughput > 1.0, s"${r.name} step $t: ${s.normThroughput}")
     }
   }
 }

@@ -115,6 +115,14 @@ object TxGen {
   def txAccounts(txs: DataFrame): DataFrame =
     txs.select(col("txId"), explode(col("accounts")) as "account")
 
+  /** The ledger's `(txId, block, accounts)` rows on the driver in txId
+    * order, from one collect; txIds are distinct, so the order is total.
+    */
+  def collectByTxId(txs: DataFrame): Array[(Long, Long, Array[Long])] =
+    txs.select("txId", "block", "accounts").collect()
+      .map(r => (r.getLong(0), r.getLong(1), r.getSeq[Long](2).toArray))
+      .sortBy(_._1)
+
   /** Distinct accounts appearing in the ledger (the allocation domain A). */
   def accounts(txs: DataFrame): DataFrame =
     txAccounts(txs).select("account").distinct()

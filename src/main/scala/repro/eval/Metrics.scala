@@ -1,8 +1,8 @@
 package repro.eval
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.core.AllocState
+import repro.alloc.Alloc
+import repro.core.{AllocState, Graph}
 
 /** Per-shard load of an allocation under the blockchain model (Section III-B).
   *
@@ -30,47 +30,105 @@ final case class MetricsResult(
     avgLatency: Double, worstLatency: Double,
     shards: Seq[ShardLoad])
 
-/** Computes the paper's blockchain-level metrics in one Spark action. Joining
-  * the exploded (txId, account) pairs with the allocation gives each
+/** Computes the paper's blockchain-level metrics on the driver. Each
   * transaction's shard set (Definition `T_i = { Tx | A_Tx intersect A_i !=
-  * empty }`) and its mu, the number of distinct shards. Spark returns only the
-  * exact counts c(shard, mu) of transactions touching `shard` and mu shards
-  * in all (at most k * max mu rows); every metric is driver arithmetic on them
-  * in (shard, mu) order, so the result does not depend on Spark partitioning.
-  * `repro.eval.MetricsSpec` checks the outputs against DuckDB (`repro.Oracle`).
+  * empty }`) and its mu, the number of distinct shards, give the exact counts
+  * c(shard, mu) of transactions touching `shard` and mu shards in all; every
+  * metric is arithmetic on those counts in (shard, mu) order, so the result
+  * does not depend on the order, partitioning or repetition of the input
+  * rows. `repro.eval.MetricsSpec` checks the outputs against DuckDB
+  * (`repro.Oracle`).
   */
 object Metrics {
 
-  /** @param txAccounts (txId: Long, account: Long) exploded transaction pairs
+  /** The DataFrame form of [[evaluateIncidence]]: reads both DataFrames once
+    * and groups the pairs by txId.
+    *
+    * @param txAccounts (txId: Long, account: Long) exploded transaction pairs
     * @param alloc      (account: Long, shard: Int) full account-shard mapping
     * @param k          number of shards
     * @param eta        cross-shard workload factor
     * @param lambdaOpt  per-shard capacity; defaults to the paper's |T| / k
-    * @throws IllegalArgumentException if a transaction's account maps to a
-    *         shard outside [0, k), or no transaction joins the allocation
+    * @throws IllegalArgumentException as [[evaluateIncidence]] does
     */
   def evaluate(txAccounts: DataFrame, alloc: DataFrame, k: Int, eta: Double,
                lambdaOpt: Option[Double] = None): MetricsResult = {
-    val counts = txAccounts
-      .join(alloc, "account")
-      .groupBy("txId").agg(collect_set("shard") as "shards")
-      .select(explode(col("shards")) as "shard", size(col("shards")) as "mu")
-      .groupBy("shard", "mu").count()
-      .collect()
-      .map(r => (r.getInt(0), r.getInt(1), r.getLong(2)))
-      .sorted
-    counts.foreach { case (s, _, _) => require(s >= 0 && s < k, s"shard $s outside [0, $k)") }
+    val (ids, shard) = Alloc.arrays(alloc)
+    val pairs = txAccounts.select("txId", "account").collect()
+    val txId = pairs.map(_.getLong(0))
+    val tx = Graph.sortedDistinct(txId.clone())
+    val row = txId.map(java.util.Arrays.binarySearch(tx, _))
+    // Counting sort of the pairs by transaction row.
+    val offsets = new Array[Int](tx.length + 1)
+    row.foreach(t => offsets(t + 1) += 1)
+    for (t <- 0 until tx.length) offsets(t + 1) += offsets(t)
+    val next = offsets.clone()
+    val accounts = new Array[Long](pairs.length)
+    for (i <- pairs.indices) { accounts(next(row(i))) = pairs(i).getLong(1); next(row(i)) += 1 }
+    evaluateIncidence(offsets, accounts, ids, shard, k, eta, lambdaOpt)
+  }
+
+  /** The flat incidence of per-transaction account arrays, in their order. */
+  def incidence(txs: Array[Array[Long]]): (Array[Int], Array[Long]) = {
+    val offsets = new Array[Int](txs.length + 1)
+    for (t <- txs.indices) offsets(t + 1) = offsets(t) + txs(t).length
+    (offsets, txs.flatten)
+  }
+
+  /** The metrics of a mapping over a flat incidence: transaction t has the
+    * accounts `accounts(offsets(t) until offsets(t + 1))`, for t in
+    * [0, offsets.length - 1), in any order; `offsets` need not start at 0, so
+    * a slice of a ledger's offsets evaluates those transactions. An account
+    * repeated within a transaction counts once.
+    *
+    * @param ids    mapped accounts, strictly ascending
+    * @param shard  shard of `ids(i)`
+    * @throws IllegalArgumentException if an account is mapped twice or to a
+    *         shard outside [0, k), a transaction's account is not mapped or a
+    *         transaction has no account, or there is no transaction
+    */
+  def evaluateIncidence(offsets: Array[Int], accounts: Array[Long], ids: Array[Long], shard: Array[Int],
+                        k: Int, eta: Double, lambdaOpt: Option[Double] = None): MetricsResult = {
+    require(ids.length == shard.length, s"${ids.length} ids, ${shard.length} shards")
+    for (i <- ids.indices) {
+      require(i == 0 || ids(i - 1) != ids(i), s"account ${ids(i)} mapped twice")
+      require(i == 0 || ids(i - 1) < ids(i), s"mapped accounts not ascending at account ${ids(i)}")
+      require(shard(i) >= 0 && shard(i) < k, s"account ${ids(i)} mapped to shard ${shard(i)} outside [0, $k)")
+    }
+    val nTx = math.max(offsets.length - 1, 0)
+    require(nTx > 0, "no transactions to evaluate")
+
+    // c(shard, mu) at (mu - 1) * k + shard; mu is at most k and at most a
+    // transaction's account count.
+    var maxMu = 0
+    for (t <- 0 until nTx) maxMu = math.max(maxMu, math.min(k, offsets(t + 1) - offsets(t)))
+    val counts = new Array[Long](maxMu * k)
+    val seen = new Array[Boolean](k)
+    val touched = new Array[Int](k)
+    for (t <- 0 until nTx) {
+      var mu = 0
+      var j = offsets(t)
+      while (j < offsets(t + 1)) {
+        val x = java.util.Arrays.binarySearch(ids, accounts(j))
+        require(x >= 0, s"account ${accounts(j)} is not mapped")
+        val s = shard(x)
+        if (!seen(s)) { seen(s) = true; touched(mu) = s; mu += 1 }
+        j += 1
+      }
+      require(mu > 0, s"transaction row $t has no account")
+      for (i <- 0 until mu) { counts((mu - 1) * k + touched(i)) += 1; seen(touched(i)) = false }
+    }
 
     val intra = new Array[Long](k)
     val cross = new Array[Long](k)
     val lamHat = new Array[Double](k)
-    for ((s, mu, c) <- counts) {
-      if (mu == 1) intra(s) = c else cross(s) += c
-      lamHat(s) += c.toDouble / mu
+    for (s <- 0 until k; mu <- 1 to maxMu) {
+      val c = counts((mu - 1) * k + s)
+      if (c > 0) {
+        if (mu == 1) intra(s) = c else cross(s) += c
+        lamHat(s) += c.toDouble / mu
+      }
     }
-    // A transaction with mu shards is counted in mu rows.
-    val nTx = counts.groupMapReduce(_._2)(_._3)(_ + _).map { case (mu, c) => c / mu }.sum
-    require(nTx > 0, "no transactions survived the allocation join — incomplete allocation?")
     val gamma = (nTx - intra.sum).toDouble / nTx
     val lambda = lambdaOpt.getOrElse(nTx.toDouble / k)
 

@@ -22,8 +22,7 @@ final case class EvolutionConfig(
     hybridGaps: Seq[Int] = Seq(3, 5, 10))
 
 /** One time step of one strategy. */
-final case class StepRecord(step: Int, normThroughput: Double, gamma: Double,
-                            updateMillis: Long, usedGlobal: Boolean)
+final case class StepRecord(normThroughput: Double, updateMillis: Long, usedGlobal: Boolean)
 
 final case class StrategyRun(name: String, steps: Seq[StepRecord]) {
   def avgThroughput: Double = steps.map(_.normThroughput).sum / steps.length
@@ -41,7 +40,13 @@ object Evolution {
   def run(spark: SparkSession, cfg: EvolutionConfig): EvolutionResult = {
     val params = ChainParams.atScale(cfg.sf)
     val txs = TxGen.transactions(spark, params).cache()
-    val nTx = txs.count()
+    // The ledger's blocks and account sets, once, in txId order; each step
+    // is evaluated on its own slice of it.
+    val ledger = TxGen.collectByTxId(txs)
+    val nTx = ledger.length.toLong
+    val block = ledger.map(_._2)
+    val (offsets, accounts) = Metrics.incidence(ledger.map(_._3))
+    def firstTxOf(b: Long): Int = block.indexWhere(_ >= b) match { case -1 => block.length; case i => i }
 
     val trainBlocks = (params.nBlocks * TrainFrac).toLong
     val stepBlocks = math.max(1L, (params.nBlocks - trainBlocks) / cfg.nSteps)
@@ -67,7 +72,7 @@ object Evolution {
       graph = Graph.merge(graph, edges)
       val mergeNanos = System.nanoTime() - t0
       val p = TxAlloParams.default(graph, cfg.k, cfg.eta)
-      val stepAcc = TxGen.txAccounts(stepTxs)
+      val stepOffsets = offsets.slice(firstTxOf(lo), firstTxOf(lo + stepBlocks) + 1)
 
       for (((_, gapOpt), i) <- strategies.zipWithIndex) {
         val useGlobal = gapOpt.exists(g => (t + 1) % g == 0)
@@ -78,8 +83,8 @@ object Evolution {
         val updateMillis = (mergeNanos + System.nanoTime() - t1) / 1000000
         assigns(i) = res.toMap
         Alloc.requireValid(assigns(i), graph.ids, cfg.k)
-        val m = Metrics.evaluate(stepAcc, Alloc.toDf(spark, assigns(i)), cfg.k, cfg.eta)
-        records(i) += StepRecord(t, m.normThroughput, m.gamma, updateMillis, useGlobal)
+        val m = Metrics.evaluateIncidence(stepOffsets, accounts, res.ids, res.assign, cfg.k, cfg.eta)
+        records(i) += StepRecord(m.normThroughput, updateMillis, useGlobal)
       }
     }
 

@@ -1,11 +1,13 @@
 package repro.eval
 
+import org.apache.spark.sql.functions.{col, rand}
 import repro.{Oracle, SparkSpec}
-import repro.alloc.HashAllocator
+import repro.alloc.{Alloc, HashAllocator}
 import repro.chain.{ChainParams, TxGen}
 
-/** Blockchain-level metrics (Eqs. 1-4) with hand-computed cases and DuckDB
-  * oracle checks of `Metrics.evaluate`'s gamma and per-shard counts.
+/** Blockchain-level metrics (Eqs. 1-4) with hand-computed cases, DuckDB
+  * oracle checks of `Metrics.evaluate`'s gamma and per-shard counts, and the
+  * equivalence of the DataFrame path and the harnesses' driver core.
   */
 class MetricsSpec extends SparkSpec {
   import spark.implicits._
@@ -175,5 +177,40 @@ class MetricsSpec extends SparkSpec {
     assertThrows[IllegalArgumentException] {
       Metrics.evaluate(handTxAcc, alloc, 2, 2.0)
     }
+  }
+
+  test("evaluate rejects a transaction account the allocation does not map") {
+    val alloc = Seq((1L, 0), (2L, 0), (3L, 0), (4L, 1), (6L, 1)).toDF("account", "shard")
+    val e = intercept[IllegalArgumentException](Metrics.evaluate(handTxAcc, alloc, 2, 2.0))
+    assert(e.getMessage.contains("account 5 "), e.getMessage)
+  }
+
+  test("evaluate rejects an account mapped twice") {
+    val alloc = handAlloc.union(Seq((4L, 0)).toDF("account", "shard"))
+    val e = intercept[IllegalArgumentException](Metrics.evaluate(handTxAcc, alloc, 2, 2.0))
+    assert(e.getMessage.contains("account 4 mapped twice"), e.getMessage)
+  }
+
+  private lazy val ledgerTxs = TxGen.transactions(spark, ChainParams.atScale(0.002, seed = 25))
+  private lazy val ledgerAlloc = HashAllocator.allocate(TxGen.accounts(ledgerTxs), 7)
+
+  test("the result does not depend on row order, partitioning or duplicated rows") {
+    val txAcc = TxGen.txAccounts(ledgerTxs)
+    val inputs = Seq(txAcc, txAcc.orderBy(rand(3)), txAcc.repartition(7), txAcc.union(txAcc))
+    val results = inputs.map(Metrics.evaluate(_, ledgerAlloc, 7, 2.0))
+    results.tail.foreach(r => assert(r == results.head))
+  }
+
+  test("the harnesses' driver evaluation of the collected ledger equals the DataFrame path") {
+    val ledger = TxGen.collectByTxId(ledgerTxs)
+    val (offsets, accounts) = Metrics.incidence(ledger.map(_._3))
+    val (ids, shard) = Alloc.arrays(ledgerAlloc)
+    assert(Metrics.evaluateIncidence(offsets, accounts, ids, shard, 7, 2.0) ==
+      Metrics.evaluate(TxGen.txAccounts(ledgerTxs), ledgerAlloc, 7, 2.0))
+    // A slice of the offsets is a block window, as in Evolution's steps.
+    val (from, until) = (ledger.indexWhere(_._2 >= 40), ledger.indexWhere(_._2 >= 44))
+    val window = TxGen.txAccounts(ledgerTxs.where(col("block") >= 40 && col("block") < 44))
+    assert(Metrics.evaluateIncidence(offsets.slice(from, until + 1), accounts, ids, shard, 7, 2.0) ==
+      Metrics.evaluate(window, ledgerAlloc, 7, 2.0))
   }
 }
