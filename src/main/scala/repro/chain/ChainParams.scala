@@ -11,8 +11,9 @@ package repro.chain
   * allocation. Small shares of self-loop and multi-account (3-4 accounts)
   * transactions exercise the 1/pi(Tx) edge-weight splitting.
   *
-  * Everything is deterministic in (params, seed): generation uses Spark
-  * `rand(seed+i)` columns over a fixed-partitioning `spark.range`.
+  * Everything is deterministic in (params, seed): generation draws Spark
+  * `rand(seed+i)` columns over 32 fixed `spark.range` partitions, then
+  * coalesces them to one partition per core (`TxGen.transactions`).
   *
   * @param nTx          total number of transactions in the ledger
   * @param nAccounts    size of the account universe (upper bound; long-tail

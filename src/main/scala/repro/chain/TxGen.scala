@@ -45,8 +45,12 @@ object TxGen {
     comm * p.commSize + lit(1L) + pmod(local, lit(p.commSize - 1))
   }
 
-  /** Generate the full ledger. Deterministic in `p` (fixed 32-partition range,
-    * seeded `rand` columns).
+  /** Generate the full ledger. Deterministic in `p`: the seeded `rand`
+    * columns are drawn over a fixed 32-partition range, so every draw is made
+    * in the same range partition on any machine, and the result is then
+    * coalesced to one partition per core (no shuffle, rows in txId order), so
+    * that every read of a cached ledger runs one task per core rather than 32
+    * small ones.
     *
     * IMPORTANT Spark subtlety: `rand(seed)` expressions are stateful per
     * *instance* and only advance when evaluated, so a Column tree containing
@@ -108,20 +112,28 @@ object TxGen {
       col("txId"),
       (col("txId") / TxPerBlock).cast("long") as "block",
       array_sort(array_distinct(filter(array(acc1, acc2, acc3, acc4), _.isNotNull))) as "accounts",
-    )
+    ).coalesce(spark.sparkContext.defaultParallelism)
   }
 
   /** Exploded (txId, account) pairs — the input shape of `repro.eval.Metrics`. */
   def txAccounts(txs: DataFrame): DataFrame =
     txs.select(col("txId"), explode(col("accounts")) as "account")
 
-  /** The ledger's `(txId, block, accounts)` rows on the driver in txId
-    * order, from one collect; txIds are distinct, so the order is total.
+  /** The ledger's `(txId, block, accounts)` rows on the driver, from one
+    * collect, in partition order. That is txId order for a ledger of
+    * [[transactions]], whose coalesced partitions are contiguous txId ranges.
+    *
+    * @throws IllegalArgumentException if the txIds do not strictly ascend
     */
-  def collectByTxId(txs: DataFrame): Array[(Long, Long, Array[Long])] =
-    txs.select("txId", "block", "accounts").collect()
-      .map(r => (r.getLong(0), r.getLong(1), r.getSeq[Long](2).toArray))
-      .sortBy(_._1)
+  def collectByTxId(txs: DataFrame): Incidence = {
+    import txs.sparkSession.implicits._
+    val rows = txs.select("txId", "block", "accounts").as[(Long, Long, Array[Long])].collect()
+    (1 until rows.length).find(t => rows(t - 1)._1 >= rows(t)._1).foreach { t =>
+      throw new IllegalArgumentException(s"txIds not strictly ascending: txId ${rows(t)._1} follows ${rows(t - 1)._1}")
+    }
+    val (offsets, accounts) = Incidence.flatten(rows.map(_._3))
+    Incidence(rows.map(_._1), rows.map(_._2), offsets, accounts)
+  }
 
   /** Distinct accounts appearing in the ledger (the allocation domain A). */
   def accounts(txs: DataFrame): DataFrame =

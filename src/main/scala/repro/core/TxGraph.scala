@@ -2,6 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.chain.Incidence
+import scala.collection.mutable
 
 /** Transaction-graph construction (paper Definition 2).
   *
@@ -25,9 +27,9 @@ object TxGraph {
   /** Every integer up to 2^53 is an exact Double, so integer sums up to it are exact. */
   private val MaxExactUnits = 1L << 53
 
-  /** The driver-side CSR graph of a `(txId, block, accounts)` ledger. One
-    * Spark action collects each transaction's sorted distinct account set;
-    * `Graph.build` sums the pairs.
+  /** The driver-side CSR graph of a `(txId, block, accounts)` ledger: one
+    * collect of each transaction's sorted distinct account set, then
+    * [[fromIncidence]].
     *
     * @throws IllegalArgumentException if a transaction's account set is null
     *   or empty (it would carry no weight), or if L·|T| exceeds 2^53
@@ -36,24 +38,52 @@ object TxGraph {
     import txs.sparkSession.implicits._
     val accounts = txs.select(array_sort(array_distinct(col("accounts")))).as[Array[Long]].collect()
     require(accounts.forall(a => a != null && a.nonEmpty), "transaction with a null or empty account set")
+    val (offsets, flat) = Incidence.flatten(accounts)
+    fromIncidence(offsets, flat)
+  }
 
-    val l = unitsPerTx(accounts.map(_.length).distinct.sorted, accounts.length.toLong)
-    val nEntries = accounts.foldLeft(0L)((s, a) => s + pairs(a.length))
+  /** The graph of transactions t in [0, offsets.length - 1), where
+    * transaction t has the strictly ascending accounts
+    * `accounts(offsets(t) until offsets(t + 1))`. `offsets` need not start
+    * at 0, so a slice of a ledger's offsets builds the graph of those
+    * transactions.
+    *
+    * @throws IllegalArgumentException if a transaction has no account or its
+    *   accounts are not strictly ascending, or if L·|T| exceeds 2^53
+    */
+  def fromIncidence(offsets: Array[Int], accounts: Array[Long]): Graph = {
+    val nTx = math.max(offsets.length - 1, 0)
+    val sizes = mutable.BitSet.empty
+    var nEntries = 0L
+    for (t <- 0 until nTx) {
+      val m = offsets(t + 1) - offsets(t)
+      require(m > 0, "transaction with a null or empty account set")
+      for (j <- offsets(t) + 1 until offsets(t + 1))
+        require(accounts(j - 1) < accounts(j), s"transaction row $t: accounts not strictly ascending")
+      sizes += m
+      nEntries += pairs(m)
+    }
+    val l = unitsPerTx(sizes.toArray, nTx)
     require(nEntries <= Int.MaxValue, s"$nEntries pair entries; Graph.build takes at most ${Int.MaxValue}")
 
-    val ids = Graph.sortedDistinct(accounts.flatten)
+    val (lo, hi) = if (nTx == 0) (0, 0) else (offsets(0), offsets(nTx))
+    val ids = Graph.sortedDistinct(java.util.Arrays.copyOfRange(accounts, lo, hi))
+    // Node index of every account entry, at entry j - lo.
+    val node = new Array[Int](hi - lo)
+    for (j <- lo until hi) node(j - lo) = java.util.Arrays.binarySearch(ids, accounts(j))
     val src = new Array[Int](nEntries.toInt)
     val dst = new Array[Int](nEntries.toInt)
     val w = new Array[Double](nEntries.toInt)
     var i = 0
-    accounts.foreach { a =>
-      val v = a.map(java.util.Arrays.binarySearch(ids, _))
-      val units = (l / pairs(a.length)).toDouble
-      if (v.length == 1) { src(i) = v(0); dst(i) = v(0); w(i) = units; i += 1 }
-      var x = 0
-      while (x < v.length) {
+    for (t <- 0 until nTx) {
+      val a = offsets(t) - lo
+      val b = offsets(t + 1) - lo
+      val units = (l / pairs(b - a)).toDouble
+      if (b - a == 1) { src(i) = node(a); dst(i) = node(a); w(i) = units; i += 1 }
+      var x = a
+      while (x < b) {
         var y = x + 1
-        while (y < v.length) { src(i) = v(x); dst(i) = v(y); w(i) = units; i += 1; y += 1 }
+        while (y < b) { src(i) = node(x); dst(i) = node(y); w(i) = units; i += 1; y += 1 }
         x += 1
       }
     }
@@ -81,12 +111,17 @@ object TxGraph {
   }
 
   /** `fromTxs(txs)` as an undirected edge list `(src: Long, dst: Long,
-    * weight: Double)`: each self-loop as (a, a), each proper edge once with
-    * src < dst. A local DataFrame; `Graph.fromEdges` of its rows rebuilds the
-    * same graph.
+    * weight: Double)` of [[edgeRows]]. A local DataFrame; `Graph.fromEdges`
+    * of its rows rebuilds the same graph.
     */
-  def edges(txs: DataFrame): DataFrame = {
-    val g = fromTxs(txs)
+  def edges(txs: DataFrame): DataFrame =
+    txs.sparkSession.createDataFrame(edgeRows(fromTxs(txs)).toSeq).toDF("src", "dst", "weight")
+
+  /** `g`'s undirected edges in node order: per node, its self-loop (a, a)
+    * if its weight is non-zero, then each arc to a higher index once, with
+    * src < dst.
+    */
+  def edgeRows(g: Graph): Array[(Long, Long, Double)] = {
     val rows = Array.newBuilder[(Long, Long, Double)]
     var v = 0
     while (v < g.n) {
@@ -95,6 +130,6 @@ object TxGraph {
       g.foreachNbr(v)((u, w) => if (v < u) rows += ((a, g.ids(u), w)))
       v += 1
     }
-    txs.sparkSession.createDataFrame(rows.result().toSeq).toDF("src", "dst", "weight")
+    rows.result()
   }
 }

@@ -1,7 +1,6 @@
 package repro.harness
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions.col
 import repro.alloc.Alloc
 import repro.chain.{ChainParams, TxGen}
 import repro.core.{ATxAllo, GTxAllo, Graph, TxAlloParams, TxGraph}
@@ -39,19 +38,20 @@ object Evolution {
 
   def run(spark: SparkSession, cfg: EvolutionConfig): EvolutionResult = {
     val params = ChainParams.atScale(cfg.sf)
-    val txs = TxGen.transactions(spark, params).cache()
-    // The ledger's blocks and account sets, once, in txId order; each step
-    // is evaluated on its own slice of it.
-    val ledger = TxGen.collectByTxId(txs)
-    val nTx = ledger.length.toLong
-    val block = ledger.map(_._2)
-    val (offsets, accounts) = Metrics.incidence(ledger.map(_._3))
+    // The ledger's blocks and account sets, once, in txId order; the
+    // bootstrap and every step build their graphs from, and are evaluated
+    // on, slices of it.
+    val ledger = TxGen.collectByTxId(TxGen.transactions(spark, params))
+    val nTx = ledger.nTx.toLong
+    val (block, accounts) = (ledger.block, ledger.accounts)
     def firstTxOf(b: Long): Int = block.indexWhere(_ >= b) match { case -1 => block.length; case i => i }
+    // The offsets of the transactions in blocks [lo, hi).
+    def blocks(lo: Long, hi: Long): Array[Int] = ledger.offsets.slice(firstTxOf(lo), firstTxOf(hi) + 1)
 
     val trainBlocks = (params.nBlocks * TrainFrac).toLong
     val stepBlocks = math.max(1L, (params.nBlocks - trainBlocks) / cfg.nSteps)
 
-    var graph = TxGraph.fromTxs(txs.where(col("block") < trainBlocks))
+    var graph = TxGraph.fromIncidence(blocks(0, trainBlocks), accounts)
     val bootstrap = GTxAllo.run(graph, TxAlloParams.default(graph, cfg.k, cfg.eta))
 
     val strategies: Seq[(String, Option[Int])] =
@@ -62,17 +62,16 @@ object Evolution {
 
     for (t <- 0 until cfg.nSteps) {
       val lo = trainBlocks + t * stepBlocks
-      val stepTxs = txs.where(col("block") >= lo && col("block") < lo + stepBlocks)
-      val edges = TxGraph.edges(stepTxs).collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
-      // V-hat, the step's accounts: each is an edge endpoint, since a
-      // single-account transaction becomes a self-loop row.
-      val active = edges.iterator.flatMap(e => Iterator(e._1, e._2)).toSet
+      val stepOffsets = blocks(lo, lo + stepBlocks)
+      val delta = TxGraph.fromIncidence(stepOffsets, accounts)
+      // V-hat, the step's accounts, are the step graph's nodes.
+      val active = delta.ids.toSet
+      val edges = TxGraph.edgeRows(delta)
       // Each strategy's update time includes the shared merge, as a deployment's would.
       val t0 = System.nanoTime()
       graph = Graph.merge(graph, edges)
       val mergeNanos = System.nanoTime() - t0
       val p = TxAlloParams.default(graph, cfg.k, cfg.eta)
-      val stepOffsets = offsets.slice(firstTxOf(lo), firstTxOf(lo + stepBlocks) + 1)
 
       for (((_, gapOpt), i) <- strategies.zipWithIndex) {
         val useGlobal = gapOpt.exists(g => (t + 1) % g == 0)
@@ -88,7 +87,6 @@ object Evolution {
       }
     }
 
-    txs.unpersist()
     val runs = strategies.zip(records).map { case ((name, _), recs) => StrategyRun(name, recs.result()) }
     EvolutionResult(cfg, nTx, bootstrap.millis, runs)
   }

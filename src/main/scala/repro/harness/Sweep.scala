@@ -57,14 +57,16 @@ object Sweep {
     val params = ChainParams.atScale(cfg.sf)
     val txs = TxGen.transactions(spark, params).cache()
     val accountsDf = TxGen.accounts(txs).cache()
-    val nTx = txs.count()
     val nAccounts = accountsDf.count()
 
-    val g = TxGraph.fromTxs(txs)
-    // Chronological stream for the transaction-level baseline, and the
-    // incidence every evaluation counts.
-    val txSeq = TxGen.collectByTxId(txs).map(tx => (tx._1, tx._3))
-    val (offsets, accounts) = Metrics.incidence(txSeq.map(_._2))
+    // The ledger, once, in txId order: the graph, the chronological stream
+    // for the transaction-level baseline and the incidence every evaluation
+    // counts all come from it.
+    val ledger = TxGen.collectByTxId(txs)
+    val (offsets, accounts) = (ledger.offsets, ledger.accounts)
+    val nTx = ledger.nTx.toLong
+    val g = TxGraph.fromIncidence(offsets, accounts)
+    val txSeq = Array.tabulate(ledger.nTx)(t => (ledger.txId(t), accounts.slice(offsets(t), offsets(t + 1))))
 
     // The hash mapping materialized, and the time that took.
     def hashMapping(k: Int): (DataFrame, Long) = {

@@ -3,6 +3,7 @@ package repro.chain
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.chain.ChainParams._
+import scala.util.hashing.MurmurHash3
 
 /** Synthetic ledger generator: determinism, schema, and the structural
   * properties the paper's evaluation depends on (DESIGN.md substitution #1).
@@ -105,6 +106,28 @@ class TxGenSpec extends SparkSpec {
     val accs = TxGen.accounts(txs)
     assert(accs.count() == accs.distinct().count())
     assert(accs.count() > p.nCommunities) // far more than one per community
+  }
+
+  test("the ledger is one partition per core and its rows are pinned") {
+    val ledger = TxGen.transactions(spark, ChainParams.atScale(0.002, seed = 4))
+    assert(ledger.rdd.getNumPartitions == math.min(32, spark.sparkContext.defaultParallelism))
+    // Recorded from the uncoalesced 32-partition ledger: coalescing moves no
+    // rand() draw out of its range partition.
+    val flat = ledger.orderBy("txId").collect().flatMap { r =>
+      val acc = r.getSeq[Long](2)
+      Seq(r.getLong(0), r.getLong(1), acc.length.toLong) ++ acc
+    }
+    assert(f"0x${MurmurHash3.arrayHash(flat)}%08x" == "0x24ebebee")
+  }
+
+  test("collectByTxId is the ledger's rows in txId order and rejects rows out of that order") {
+    val in = TxGen.collectByTxId(txs)
+    val rows = txs.orderBy("txId").collect()
+    assert(in.txId.toSeq == rows.map(_.getLong(0)).toSeq)
+    assert(in.block.toSeq == rows.map(_.getLong(1)).toSeq)
+    assert(in.txId.indices.forall(t => in.accounts.slice(in.offsets(t), in.offsets(t + 1)).toSeq == rows(t).getSeq[Long](2)))
+    val e = intercept[IllegalArgumentException](TxGen.collectByTxId(txs.orderBy(desc("txId"))))
+    assert(e.getMessage.contains(s"txId ${p.nTx - 2} follows ${p.nTx - 1}"))
   }
 
   test("scale factor helper respects the paper's tx:account ratio") {

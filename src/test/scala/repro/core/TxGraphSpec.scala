@@ -159,8 +159,31 @@ class TxGraphSpec extends SparkSpec {
     }
   }
 
+  test("fromIncidence of a ledger slice equals fromTxs of its blocks") {
+    val txs = TxGen.transactions(spark, ChainParams.atScale(0.002, seed = 4)).cache()
+    val ledger = TxGen.collectByTxId(txs)
+    val (from, until) = (ledger.block.indexWhere(_ >= 72), ledger.block.indexWhere(_ >= 76))
+    val window = txs.where(col("block") >= 72 && col("block") < 76)
+    for ((slice, part) <- Seq((ledger.offsets, txs), (ledger.offsets.slice(from, until + 1), window))) {
+      val (a, b) = (TxGraph.fromIncidence(slice, ledger.accounts), TxGraph.fromTxs(part))
+      assert(java.util.Arrays.equals(a.ids, b.ids))
+      assert(java.util.Arrays.equals(a.offsets, b.offsets))
+      assert(java.util.Arrays.equals(a.nbr, b.nbr))
+      assert(java.util.Arrays.equals(a.wgt, b.wgt))
+      assert(java.util.Arrays.equals(a.self, b.self))
+    }
+    txs.unpersist()
+  }
+
+  test("fromIncidence rejects an empty transaction and unsorted or repeated accounts") {
+    for ((offsets, accounts) <- Seq((Array(0, 2, 2), Array(1L, 2L)), (Array(0, 2), Array(2L, 1L)),
+                                    (Array(0, 2), Array(3L, 3L)))) {
+      intercept[IllegalArgumentException](TxGraph.fromIncidence(offsets, accounts))
+    }
+  }
+
   test("the edge rows' endpoints are the accounts of the ledger and of any block window") {
-    // Evolution takes a step's V-hat from its edge rows on this invariant.
+    // Evolution takes a step's V-hat as its step graph's nodes on this invariant.
     val txs = TxGen.transactions(spark, ChainParams.atScale(0.002, seed = 4)).cache()
     for (part <- Seq(txs, txs.where(col("block") >= 72 && col("block") < 76),
                      txs.where(col("block") >= 76 && col("block") < 80))) {

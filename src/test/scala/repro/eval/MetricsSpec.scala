@@ -141,18 +141,9 @@ class MetricsSpec extends SparkSpec {
     val txs = TxGen.transactions(spark, p)
     val txAcc = TxGen.txAccounts(txs)
     val alloc = HashAllocator.allocate(TxGen.accounts(txs), 7)
-    val partitions = "spark.sql.shuffle.partitions"
-    val adaptive = "spark.sql.adaptive.enabled"
-    val saved = Seq(partitions, adaptive).map(c => c -> spark.conf.get(c))
-    try {
-      // Adaptive execution would coalesce these small shuffles into one partition.
-      spark.conf.set(adaptive, false)
-      val results = Seq(1, 7, 64).map { n =>
-        spark.conf.set(partitions, n.toLong)
-        Metrics.evaluate(txAcc, alloc, 7, 2.0)
-      } :+ Metrics.evaluate(txAcc.repartition(7), alloc, 7, 2.0)
-      results.tail.foreach(r => assert(r == results.head))
-    } finally saved.foreach { case (c, v) => spark.conf.set(c, v) }
+    val inputs = Seq(txAcc, txAcc.coalesce(1), txAcc.repartition(7), txAcc.repartition(64))
+    val results = inputs.map(Metrics.evaluate(_, alloc, 7, 2.0))
+    results.tail.foreach(r => assert(r == results.head))
   }
 
   test("hash allocation at k=60 gives the paper's ~98% cross ratio") {
@@ -191,6 +182,15 @@ class MetricsSpec extends SparkSpec {
     assert(e.getMessage.contains("account 4 mapped twice"), e.getMessage)
   }
 
+  test("evaluate rejects a null txId or account") {
+    val nullAccount = Seq((1L, Some(1L)), (1L, None)).toDF("txId", "account")
+    val nullTxId = Seq((Some(1L), 1L), (None, 2L)).toDF("txId", "account")
+    for (txAcc <- Seq(nullAccount, nullTxId)) {
+      val e = intercept[IllegalArgumentException](Metrics.evaluate(txAcc, handAlloc, 2, 2.0))
+      assert(e.getMessage.contains("null"), e.getMessage)
+    }
+  }
+
   private lazy val ledgerTxs = TxGen.transactions(spark, ChainParams.atScale(0.002, seed = 25))
   private lazy val ledgerAlloc = HashAllocator.allocate(TxGen.accounts(ledgerTxs), 7)
 
@@ -203,12 +203,12 @@ class MetricsSpec extends SparkSpec {
 
   test("the harnesses' driver evaluation of the collected ledger equals the DataFrame path") {
     val ledger = TxGen.collectByTxId(ledgerTxs)
-    val (offsets, accounts) = Metrics.incidence(ledger.map(_._3))
+    val (offsets, accounts) = (ledger.offsets, ledger.accounts)
     val (ids, shard) = Alloc.arrays(ledgerAlloc)
     assert(Metrics.evaluateIncidence(offsets, accounts, ids, shard, 7, 2.0) ==
       Metrics.evaluate(TxGen.txAccounts(ledgerTxs), ledgerAlloc, 7, 2.0))
     // A slice of the offsets is a block window, as in Evolution's steps.
-    val (from, until) = (ledger.indexWhere(_._2 >= 40), ledger.indexWhere(_._2 >= 44))
+    val (from, until) = (ledger.block.indexWhere(_ >= 40), ledger.block.indexWhere(_ >= 44))
     val window = TxGen.txAccounts(ledgerTxs.where(col("block") >= 40 && col("block") < 44))
     assert(Metrics.evaluateIncidence(offsets.slice(from, until + 1), accounts, ids, shard, 7, 2.0) ==
       Metrics.evaluate(window, ledgerAlloc, 7, 2.0))
