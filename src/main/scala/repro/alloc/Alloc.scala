@@ -4,7 +4,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Helpers moving account-shard mappings between driver maps, the
   * `(account: Long, shard: Int)` DataFrame shape and the ascending arrays
-  * `repro.eval.Metrics` counts with, plus Definition 1 invariant checks.
+  * `repro.eval.Metrics` counts with. `Metrics.evaluateIncidence` checks a
+  * mapping against Definition 1 as it counts.
   */
 object Alloc {
 
@@ -28,13 +29,5 @@ object Alloc {
   def arrays(alloc: DataFrame): (Array[Long], Array[Int]) = {
     val rows = alloc.select("account", "shard").collect().map(r => (r.getLong(0), r.getInt(1))).sortBy(_._1)
     (rows.map(_._1), rows.map(_._2))
-  }
-
-  /** Definition 1: every account mapped exactly once, shard in [0, k). */
-  def requireValid(mapping: Map[Long, Int], accounts: Iterable[Long], k: Int): Unit = {
-    accounts.foreach { a =>
-      val s = mapping.getOrElse(a, sys.error(s"account $a unallocated (completeness violated)"))
-      require(s >= 0 && s < k, s"account $a mapped to shard $s outside [0,$k)")
-    }
   }
 }

@@ -1,6 +1,6 @@
 package repro.harness
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.alloc.{Alloc, HashAllocator, ShardScheduler}
 import repro.chain.{ChainParams, TxGen}
 import repro.core.{GTxAllo, TxAlloParams, TxGraph}
@@ -34,10 +34,10 @@ final case class SweepResult(cfg: SweepConfig, nTx: Long, nAccounts: Long,
                              rows: Seq[SweepRow])
 
 /** Runs the 4-method comparison (Hash / METIS / Shard Scheduler / G-TxAllo)
-  * across the (k, eta) grid. Generation, the account-set collects and the
-  * hash baseline run on Spark; every metric evaluation counts the one
-  * collected ledger on the driver. The allocators are timed individually
-  * (T8). Only G-TxAllo depends on eta: the baselines allocate once per k.
+  * across the (k, eta) grid. Spark generates the ledger and collects it once;
+  * every allocation and every metric evaluation then runs on the driver over
+  * that one collect. The allocators are timed individually (T8). Only
+  * G-TxAllo depends on eta: the baselines allocate once per k.
   */
 object Sweep {
 
@@ -50,70 +50,48 @@ object Sweep {
   /** The eta of the T4 per-shard case study (paper Fig. 4). */
   val CaseStudyEta = 2.0
 
-  /** T8's Hash time is the median of this many materializations per k. */
-  val HashRuns = 3
+  /** A mapping as ascending account ids with their shards, and the
+    * allocator's time in ms.
+    */
+  private type Timed = ((Array[Long], Array[Int]), Long)
 
   def run(spark: SparkSession, cfg: SweepConfig): SweepResult = {
-    val params = ChainParams.atScale(cfg.sf)
-    val txs = TxGen.transactions(spark, params).cache()
-    val accountsDf = TxGen.accounts(txs).cache()
-    val nAccounts = accountsDf.count()
-
     // The ledger, once, in txId order: the graph, the chronological stream
     // for the transaction-level baseline and the incidence every evaluation
     // counts all come from it.
-    val ledger = TxGen.collectByTxId(txs)
+    val ledger = TxGen.collectByTxId(TxGen.transactions(spark, ChainParams.atScale(cfg.sf)))
     val (offsets, accounts) = (ledger.offsets, ledger.accounts)
-    val nTx = ledger.nTx.toLong
     val g = TxGraph.fromIncidence(offsets, accounts)
     val txSeq = Array.tabulate(ledger.nTx)(t => (ledger.txId(t), accounts.slice(offsets(t), offsets(t + 1))))
 
-    // The hash mapping materialized, and the time that took.
-    def hashMapping(k: Int): (DataFrame, Long) = {
+    def timed(mapping: => (Array[Long], Array[Int])): Timed = {
       val t0 = System.nanoTime()
-      val df = HashAllocator.allocate(accountsDf, k).cache()
-      df.count()
-      (df, (System.nanoTime() - t0) / 1000000L)
+      val m = mapping
+      (m, (System.nanoTime() - t0) / 1000000L)
+    }
+    def hash(k: Int): Timed = timed((g.ids, g.ids.map(HashAllocator.shard(_, k))))
+    def metis(k: Int): Timed = timed((g.ids, Metis.partition(g, k)))
+    // The scheduler's eta only feeds its own range check.
+    def scheduler(k: Int): Timed = {
+      val (m, ms) = ShardScheduler.allocate(txSeq.iterator, k, cfg.etas.head)
+      (Alloc.arrays(m), ms)
+    }
+    def gTxAllo(k: Int, eta: Double): Timed = {
+      val res = GTxAllo.run(g, TxAlloParams.default(g, k, eta))
+      ((res.ids, res.assign), res.millis)
     }
 
     // Untimed warm-up, so that no timed call pays class loading or JIT compilation.
-    hashMapping(cfg.ks.head)._1.unpersist()
-    Metis.allocate(g, cfg.ks.head)
-    ShardScheduler.allocate(txSeq.iterator, cfg.ks.head, cfg.etas.head)
-    GTxAllo.run(g, TxAlloParams.default(g, cfg.ks.head, cfg.etas.head))
+    hash(cfg.ks.head); metis(cfg.ks.head); scheduler(cfg.ks.head); gTxAllo(cfg.ks.head, cfg.etas.head)
 
-    // A driver mapping, checked against Definition 1 outside the timers.
-    def checked(m: Map[Long, Int], k: Int): (Array[Long], Array[Int]) = {
-      Alloc.requireValid(m, g.ids, k)
-      Alloc.arrays(m)
-    }
-
+    // Metrics.evaluateIncidence rejects any mapping that breaks Definition 1:
+    // an unmapped ledger account, an account mapped twice, a shard outside [0, k).
     val rows = Seq.newBuilder[SweepRow]
     for (k <- cfg.ks) {
-      // Hash: the median time of HashRuns materializations of the mapping;
-      // the last one is evaluated.
-      val earlier = (1 until HashRuns).map { _ => val (df, ms) = hashMapping(k); df.unpersist(); ms }
-      val (hashDf, lastMs) = hashMapping(k)
-      val hashMs = (earlier :+ lastMs).sorted.apply(HashRuns / 2)
-      val hash = Alloc.arrays(hashDf)
-      hashDf.unpersist()
-
-      val (metisMap, metisMs) = Metis.allocate(g, k)
-      val metis = checked(metisMap, k)
-      // The scheduler's eta only feeds its own range check.
-      val (schedMap, schedMs) = ShardScheduler.allocate(txSeq.iterator, k, cfg.etas.head)
-      val sched = checked(schedMap, k)
-
-      for (eta <- cfg.etas) {
-        val gtx = GTxAllo.run(g, TxAlloParams.default(g, k, eta))
-        Alloc.requireValid(gtx.toMap, g.ids, k)
-
-        val mappings = Seq((hash, hashMs), (metis, metisMs), (sched, schedMs), ((gtx.ids, gtx.assign), gtx.millis))
-        for ((m, ((ids, shard), ms)) <- Methods.zip(mappings))
-          rows += SweepRow(m, k, eta, Metrics.evaluateIncidence(offsets, accounts, ids, shard, k, eta), ms)
-      }
+      val baselines = Seq(hash(k), metis(k), scheduler(k))
+      for (eta <- cfg.etas; (m, ((ids, shard), ms)) <- Methods.zip(baselines :+ gTxAllo(k, eta)))
+        rows += SweepRow(m, k, eta, Metrics.evaluateIncidence(offsets, accounts, ids, shard, k, eta), ms)
     }
-    txs.unpersist(); accountsDf.unpersist()
-    SweepResult(cfg, nTx, nAccounts, rows.result())
+    SweepResult(cfg, ledger.nTx.toLong, g.n.toLong, rows.result())
   }
 }

@@ -46,12 +46,4 @@ object Metis {
     }
     part
   }
-
-  /** Timed run keyed by account id (the harness-facing entrypoint). */
-  def allocate(g: Graph, k: Int): (Map[Long, Int], Long) = {
-    val t0 = System.nanoTime()
-    val part = partition(g, k)
-    val millis = (System.nanoTime() - t0) / 1000000L
-    (g.ids.iterator.zip(part.iterator).toMap, millis)
-  }
 }

@@ -45,9 +45,8 @@ class DiagSpec extends SparkSpec {
     val g = TxGraph.fromTxs(TxGen.transactions(spark, ChainParams.atScale(0.01, seed = 42)))
     val params = TxAlloParams.default(g, 10, 4.0)
     val tx = GTxAllo.run(g, params)
-    val (metisMap, _) = repro.metis.Metis.allocate(g, params.k)
     assertWorkloadIdentities(g, params, tx.assign, "G-TxAllo")
-    assertWorkloadIdentities(g, params, g.ids.map(metisMap), "METIS")
+    assertWorkloadIdentities(g, params, repro.metis.Metis.partition(g, params.k), "METIS")
     assertReport(g, params, tx)
   }
 }

@@ -2,7 +2,7 @@ package repro.alloc
 
 import repro.SparkSpec
 
-/** Mapping conversion helpers and Definition 1 validation. */
+/** Mapping conversion helpers. */
 class AllocSpec extends SparkSpec {
 
   test("toDf round-trips a mapping") {
@@ -14,21 +14,5 @@ class AllocSpec extends SparkSpec {
   test("toDf emits accounts in ascending order (deterministic)") {
     val df = Alloc.toDf(spark, Map(5L -> 1, 1L -> 0, 3L -> 2))
     assert(df.collect().map(_.getLong(0)).toSeq == Seq(1L, 3L, 5L))
-  }
-
-  test("requireValid accepts a complete in-range mapping") {
-    Alloc.requireValid(Map(1L -> 0, 2L -> 2), Seq(1L, 2L), k = 3)
-  }
-
-  test("requireValid rejects a missing account") {
-    assertThrows[RuntimeException] {
-      Alloc.requireValid(Map(1L -> 0), Seq(1L, 2L), k = 3)
-    }
-  }
-
-  test("requireValid rejects an out-of-range shard") {
-    assertThrows[IllegalArgumentException] {
-      Alloc.requireValid(Map(1L -> 5), Seq(1L), k = 3)
-    }
   }
 }

@@ -1,6 +1,8 @@
 package repro.alloc
 
+import org.apache.spark.sql.functions.{col, lit, pmod, xxhash64}
 import repro.SparkSpec
+import repro.chain.{ChainParams, TxGen}
 
 /** Hash-based allocation baseline. */
 class HashAllocatorSpec extends SparkSpec {
@@ -38,6 +40,22 @@ class HashAllocatorSpec extends SparkSpec {
       val used = HashAllocator.allocate(accountsDf(4000), k)
         .select("shard").distinct().collect().map(_.getInt(0)).toSet
       assert(used == (0 until k).toSet)
+    }
+  }
+
+  test("shard is Spark's own pmod(xxhash64(account), k), on the driver and in allocate") {
+    val ledger = TxGen.accounts(TxGen.transactions(spark, ChainParams.atScale(0.002))).as[Long].collect()
+    val near = for (base <- Seq(1L << 40, 1L << 62); d <- -500L to 500L) yield base + d
+    assert(ledger.length > 1000)
+    val accounts = (ledger ++ near).toSeq.toDF("account")
+    for (k <- Seq(1, 2, 7, 60)) {
+      val expected = accounts.select(col("account"), pmod(xxhash64(col("account")), lit(k.toLong)).cast("int"))
+        .collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+      assert(expected.size == ledger.length + near.size)
+      val driver = expected.keysIterator.map(a => a -> HashAllocator.shard(a, k)).toMap
+      assert(driver == expected, s"k = $k")
+      val df = HashAllocator.allocate(accounts, k).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+      assert(df == expected, s"k = $k")
     }
   }
 }

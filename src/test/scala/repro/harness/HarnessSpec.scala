@@ -1,5 +1,7 @@
 package repro.harness
 
+import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 import repro.jobs.Figures
 
@@ -8,13 +10,40 @@ import repro.jobs.Figures
   */
 class HarnessSpec extends SparkSpec {
 
-  private lazy val sweep = Sweep.run(
-    spark,
-    SweepConfig(sf = 0.002, ks = Seq(4, 8), etas = Seq(2.0, 6.0), caseStudyK = 4))
+  private val sweepCfg = SweepConfig(sf = 0.002, ks = Seq(4, 8), etas = Seq(2.0, 6.0), caseStudyK = 4)
+  private val evoCfg = EvolutionConfig(sf = 0.002, k = 4, eta = 2.0, nSteps = 3, hybridGaps = Seq(2))
 
-  private lazy val evo = Evolution.run(
-    spark,
-    EvolutionConfig(sf = 0.002, k = 4, eta = 2.0, nSteps = 3, hybridGaps = Seq(2)))
+  private lazy val sweep = Sweep.run(spark, sweepCfg)
+
+  private lazy val evo = Evolution.run(spark, evoCfg)
+
+  /** The number of Spark jobs `body` starts. Listener events arrive
+    * asynchronously but in order, so once a marked job run after `body` has
+    * been seen, so has every job `body` started.
+    */
+  private def sparkJobs(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    val Marker = "end of the counted jobs"
+    val starts = new LinkedBlockingQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        starts.put(Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description"))).getOrElse(""))
+    }
+    sc.addSparkListener(listener)
+    try {
+      body
+      sc.setJobDescription(Marker)
+      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
+      Iterator.continually(starts.poll(60, TimeUnit.SECONDS))
+        .takeWhile { d => assert(d != null, "the marked job's start never arrived"); d != Marker }
+        .size
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("each harness starts one Spark job: its ledger collect") {
+    assert(sparkJobs(Sweep.run(spark, sweepCfg)) == 1)
+    assert(sparkJobs(Evolution.run(spark, evoCfg)) == 1)
+  }
 
   test("sweep produces one row per (method, k, eta)") {
     assert(sweep.rows.size == Sweep.Methods.size * 2 * 2)

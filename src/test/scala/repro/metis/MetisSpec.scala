@@ -99,14 +99,6 @@ class MetisSpec extends AnyFunSuite {
     assert(loads.toSeq == Seq(2.0, 2.0))
   }
 
-  test("allocate returns a timed account-id mapping") {
-    val (g, _) = TestUtil.planted(3, 10, 25, 10)
-    val (map, ms) = Metis.allocate(g, 3)
-    assert(map.size == g.n)
-    assert(ms >= 0)
-    assert(map.keySet == g.ids.toSet)
-  }
-
   test("a hub-heavy graph overloads one shard in *workload* terms") {
     // Star around node 0 (the hub) + background cliques: METIS balances vertex
     // weight, so the hub shard's eta-aware workload ends up above average —
