@@ -1,6 +1,7 @@
 package repro.alloc
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructType}
 
 /** Helpers moving account-shard mappings between driver maps, the
   * `(account: Long, shard: Int)` DataFrame shape and the ascending arrays
@@ -11,8 +12,9 @@ object Alloc {
 
   /** Driver map -> (account, shard) DataFrame. */
   def toDf(spark: SparkSession, mapping: Map[Long, Int]): DataFrame = {
-    import spark.implicits._
-    mapping.toSeq.sortBy(_._1).toDF("account", "shard")
+    val (ids, shard) = arrays(mapping)
+    spark.createDataFrame(java.util.Arrays.asList(ids.indices.map(i => Row(ids(i), shard(i))): _*),
+      StructType(Seq(StructField("account", LongType, nullable = false), StructField("shard", IntegerType, nullable = false))))
   }
 
   /** Driver map -> ascending account ids and their shards. */
@@ -27,7 +29,9 @@ object Alloc {
     * `Metrics.evaluateIncidence` rejects it.
     */
   def arrays(alloc: DataFrame): (Array[Long], Array[Int]) = {
-    val rows = alloc.select("account", "shard").collect().map(r => (r.getLong(0), r.getInt(1))).sortBy(_._1)
+    // By field index: a new projection would be planned again on every call.
+    val Seq(a, s) = Seq("account", "shard").map(alloc.schema.fieldIndex)
+    val rows = alloc.collect().map(r => (r.getLong(a), r.getInt(s))).sortBy(_._1)
     (rows.map(_._1), rows.map(_._2))
   }
 }

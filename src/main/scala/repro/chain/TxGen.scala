@@ -120,19 +120,18 @@ object TxGen {
     txs.select(col("txId"), explode(col("accounts")) as "account")
 
   /** The ledger's `(txId, block, accounts)` rows on the driver, from one
-    * collect, in partition order. That is txId order for a ledger of
-    * [[transactions]], whose coalesced partitions are contiguous txId ranges.
+    * [[Incidence.collect]], in partition order. That is txId order for a ledger
+    * of [[transactions]], whose coalesced partitions are contiguous txId ranges.
     *
-    * @throws IllegalArgumentException if the txIds do not strictly ascend
+    * @throws IllegalArgumentException if the txIds do not strictly ascend, or
+    *   for a row [[Incidence.collect]] rejects
     */
   def collectByTxId(txs: DataFrame): Incidence = {
-    import txs.sparkSession.implicits._
-    val rows = txs.select("txId", "block", "accounts").as[(Long, Long, Array[Long])].collect()
-    (1 until rows.length).find(t => rows(t - 1)._1 >= rows(t)._1).foreach { t =>
-      throw new IllegalArgumentException(s"txIds not strictly ascending: txId ${rows(t)._1} follows ${rows(t - 1)._1}")
+    val in = Incidence.collect(txs)
+    (1 until in.nTx).find(t => in.txId(t - 1) >= in.txId(t)).foreach { t =>
+      throw new IllegalArgumentException(s"txIds not strictly ascending: txId ${in.txId(t)} follows ${in.txId(t - 1)}")
     }
-    val (offsets, accounts) = Incidence.flatten(rows.map(_._3))
-    Incidence(rows.map(_._1), rows.map(_._2), offsets, accounts)
+    in
   }
 
   /** Distinct accounts appearing in the ledger (the allocation domain A). */

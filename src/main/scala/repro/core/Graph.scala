@@ -72,16 +72,17 @@ object Graph {
   def merge(g: Graph, newEdges: Iterable[(Long, Long, Double)]): Graph = {
     val k = newEdges.size
     val ends = new Array[Long](2 * k)
+    val weight = new Array[Double](k)
     var i = 0
-    newEdges.foreach { case (a, b, _) => ends(i) = a; ends(i + 1) = b; i += 2 }
-    val ids = sortedDistinct(Array.concat(g.ids, ends))
-    def index(id: Long): Int = java.util.Arrays.binarySearch(ids, id)
+    newEdges.foreach { case (a, b, x) => ends(2 * i) = a; ends(2 * i + 1) = b; weight(i) = x; i += 1 }
+    // The node index of g's node v at v, then of each new edge's two ends.
+    val (ids, index) = rank(Array.concat(g.ids, ends), 0, g.n + 2 * k)
 
     // g's own edges first, then the new ones: the list `fromEdges` would see
     // for the whole input.
-    val (src, dst, w) = edgeList(g, Array.tabulate(g.n)(v => index(g.ids(v))), k)
-    i = src.length - k
-    newEdges.foreach { case (a, b, x) => src(i) = index(a); dst(i) = index(b); w(i) = x; i += 1 }
+    val (src, dst, w) = edgeList(g, index, k)
+    val m = src.length - k
+    for (e <- 0 until k) { src(m + e) = index(g.n + 2 * e); dst(m + e) = index(g.n + 2 * e + 1); w(m + e) = weight(e) }
     build(ids, src, dst, w)
   }
 
@@ -176,15 +177,55 @@ object Graph {
     new Graph(n, ids, offsets, java.util.Arrays.copyOf(nbr, e), java.util.Arrays.copyOf(wgt, e), self)
   }
 
-  /** `xs` sorted ascending with duplicates removed (sorts `xs` in place). */
-  private[repro] def sortedDistinct(xs: Array[Long]): Array[Long] = {
-    java.util.Arrays.sort(xs)
-    var n = 0
-    var i = 0
-    while (i < xs.length) {
-      if (n == 0 || xs(n - 1) != xs(i)) { xs(n) = xs(i); n += 1 }
-      i += 1
+  /** The ascending distinct values of `xs(lo until hi)`, and for each entry
+    * the position of `xs(lo + j)` among them, at j. An open-addressing table
+    * numbers the distinct values in first-seen order, then only those are
+    * sorted and one pass renames each entry to its rank; the ranks come from
+    * the sort, so the result does not depend on the hash.
+    */
+  private[repro] def rank(xs: Array[Long], lo: Int, hi: Int): (Array[Long], Array[Int]) = {
+    // Slot h holds a key at 2h and 1 + its first-seen number at 2h + 1 (0:
+    // empty), so that a probe reads one cache line.
+    var table = new Array[Long](32)
+    val idx = new Array[Int](hi - lo)
+    var d = 0
+    var j = lo
+    while (j < hi) {
+      if (4 * d >= table.length) table = grow(table) // keep the table at most half full
+      val h = slot(table, xs(j))
+      if (table(h + 1) == 0) { d += 1; table(h) = xs(j); table(h + 1) = d }
+      idx(j - lo) = table(h + 1).toInt - 1
+      j += 1
     }
-    java.util.Arrays.copyOf(xs, n)
+    val t = table // the closures below capture this val, not the var the loop above updates
+    val ids = new Array[Long](d)
+    var s = 0
+    while (s < t.length) { if (t(s + 1) != 0) ids(t(s + 1).toInt - 1) = t(s); s += 2 }
+    java.util.Arrays.sort(ids)
+    val rankOf = new Array[Int](d)
+    for (r <- 0 until d) rankOf(t(slot(t, ids(r)) + 1).toInt - 1) = r
+    for (i <- idx.indices) idx(i) = rankOf(idx(i))
+    (ids, idx)
+  }
+
+  /** Where `x`'s slot starts in a table of `rank`, or where the empty slot
+    * it would take starts: Fibonacci hashing, then linear probing.
+    */
+  private def slot(table: Array[Long], x: Long): Int = {
+    val slots = table.length / 2
+    var h = ((x * 0x9E3779B97F4A7C15L) >>> (64 - Integer.numberOfTrailingZeros(slots))).toInt
+    while (table(2 * h + 1) != 0 && table(2 * h) != x) h = (h + 1) & (slots - 1)
+    2 * h
+  }
+
+  /** A `rank` table re-inserted into one of twice the size. */
+  private def grow(table: Array[Long]): Array[Long] = {
+    val grown = new Array[Long](2 * table.length)
+    var s = 0
+    while (s < table.length) {
+      if (table(s + 1) != 0) { val h = slot(grown, table(s)); grown(h) = table(s); grown(h + 1) = table(s + 1) }
+      s += 2
+    }
+    grown
   }
 }

@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
 import repro.chain.Incidence
 import scala.collection.mutable
 
@@ -28,18 +29,16 @@ object TxGraph {
   private val MaxExactUnits = 1L << 53
 
   /** The driver-side CSR graph of a `(txId, block, accounts)` ledger: one
-    * collect of each transaction's sorted distinct account set, then
-    * [[fromIncidence]].
+    * packed read of each transaction's sorted distinct account set
+    * ([[Incidence.collect]]), then [[fromIncidence]].
     *
-    * @throws IllegalArgumentException if a transaction's account set is null
-    *   or empty (it would carry no weight), or if L·|T| exceeds 2^53
+    * @throws IllegalArgumentException if a transaction's account set or an
+    *   account is null, or the set is empty (it would carry no weight), or if
+    *   L·|T| exceeds 2^53
     */
   def fromTxs(txs: DataFrame): Graph = {
-    import txs.sparkSession.implicits._
-    val accounts = txs.select(array_sort(array_distinct(col("accounts")))).as[Array[Long]].collect()
-    require(accounts.forall(a => a != null && a.nonEmpty), "transaction with a null or empty account set")
-    val (offsets, flat) = Incidence.flatten(accounts)
-    fromIncidence(offsets, flat)
+    val in = Incidence.collect(txs.withColumn("accounts", array_sort(array_distinct(col("accounts")))))
+    fromIncidence(in.offsets, in.accounts)
   }
 
   /** The graph of transactions t in [0, offsets.length - 1), where
@@ -67,10 +66,8 @@ object TxGraph {
     require(nEntries <= Int.MaxValue, s"$nEntries pair entries; Graph.build takes at most ${Int.MaxValue}")
 
     val (lo, hi) = if (nTx == 0) (0, 0) else (offsets(0), offsets(nTx))
-    val ids = Graph.sortedDistinct(java.util.Arrays.copyOfRange(accounts, lo, hi))
     // Node index of every account entry, at entry j - lo.
-    val node = new Array[Int](hi - lo)
-    for (j <- lo until hi) node(j - lo) = java.util.Arrays.binarySearch(ids, accounts(j))
+    val (ids, node) = Graph.rank(accounts, lo, hi)
     val src = new Array[Int](nEntries.toInt)
     val dst = new Array[Int](nEntries.toInt)
     val w = new Array[Double](nEntries.toInt)
@@ -115,7 +112,9 @@ object TxGraph {
     * of its rows rebuilds the same graph.
     */
   def edges(txs: DataFrame): DataFrame =
-    txs.sparkSession.createDataFrame(edgeRows(fromTxs(txs)).toSeq).toDF("src", "dst", "weight")
+    txs.sparkSession.createDataFrame(java.util.Arrays.asList(edgeRows(fromTxs(txs)).map(Row.fromTuple): _*),
+      StructType(Seq("src", "dst").map(StructField(_, LongType, nullable = false)) :+
+        StructField("weight", DoubleType, nullable = false)))
 
   /** `g`'s undirected edges in node order: per node, its self-loop (a, a)
     * if its weight is non-zero, then each arc to a higher index once, with

@@ -2,6 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.LongType
 import repro.alloc.Alloc
 import repro.core.{AllocState, Graph}
 import scala.collection.mutable
@@ -58,8 +59,7 @@ object Metrics {
                lambdaOpt: Option[Double] = None): MetricsResult = {
     val (ids, shard) = Alloc.arrays(alloc)
     val (txId, account) = pairs(txAccounts)
-    val tx = Graph.sortedDistinct(txId.clone())
-    val row = txId.map(java.util.Arrays.binarySearch(tx, _))
+    val (tx, row) = Graph.rank(txId, 0, txId.length)
     // Counting sort of the pairs by transaction row.
     val offsets = new Array[Int](tx.length + 1)
     row.foreach(t => offsets(t + 1) += 1)
@@ -74,19 +74,24 @@ object Metrics {
     * order. Each partition packs its pairs into two arrays, so the driver
     * receives a few arrays instead of a row object with two boxed values per
     * pair; on a 240K-pair ledger that makes the evaluation faster and its
-    * time steadier from run to run (`BENCH_9.json`).
+    * time steadier from run to run (`BENCH_9.json`). Long columns are read
+    * through the input's own plan, which a cached input plans only once.
     *
     * @throws IllegalArgumentException if a txId or an account is null
     */
   private def pairs(txAccounts: DataFrame): (Array[Long], Array[Long]) = {
-    val parts = txAccounts.select(col("txId").cast("long"), col("account").cast("long"))
+    val cols = Seq("txId", "account")
+    val df = if (cols.forall(txAccounts.schema(_).dataType == LongType)) txAccounts
+             else txAccounts.select(cols.map(c => col(c).cast("long")): _*)
+    val Seq(t, a) = cols.map(df.schema.fieldIndex)
+    val parts = df
       .queryExecution.toRdd.mapPartitions { rows =>
         val txId = mutable.ArrayBuilder.make[Long]
         val account = mutable.ArrayBuilder.make[Long]
         var nulls = 0L
         rows.foreach { r =>
-          if (r.isNullAt(0) || r.isNullAt(1)) nulls += 1
-          else { txId += r.getLong(0); account += r.getLong(1) }
+          if (r.isNullAt(t) || r.isNullAt(a)) nulls += 1
+          else { txId += r.getLong(t); account += r.getLong(a) }
         }
         Iterator((txId.result(), account.result(), nulls))
       }.collect()
@@ -117,6 +122,15 @@ object Metrics {
     val nTx = math.max(offsets.length - 1, 0)
     require(nTx > 0, "no transactions to evaluate")
 
+    // The shard of every account entry, at j - lo: one lookup per distinct account.
+    val (lo, hi) = (offsets(0), offsets(nTx))
+    val (distinct, entry) = Graph.rank(accounts, lo, hi)
+    val shardOf = distinct.map { a =>
+      val x = java.util.Arrays.binarySearch(ids, a)
+      require(x >= 0, s"account $a is not mapped")
+      shard(x)
+    }
+
     // c(shard, mu) at (mu - 1) * k + shard; mu is at most k and at most a
     // transaction's account count.
     var maxMu = 0
@@ -128,9 +142,7 @@ object Metrics {
       var mu = 0
       var j = offsets(t)
       while (j < offsets(t + 1)) {
-        val x = java.util.Arrays.binarySearch(ids, accounts(j))
-        require(x >= 0, s"account ${accounts(j)} is not mapped")
-        val s = shard(x)
+        val s = shardOf(entry(j - lo))
         if (!seen(s)) { seen(s) = true; touched(mu) = s; mu += 1 }
         j += 1
       }

@@ -42,10 +42,9 @@ object Evolution {
     // on, slices of it.
     val ledger = TxGen.collectByTxId(TxGen.transactions(spark, params))
     val nTx = ledger.nTx.toLong
-    val (block, accounts) = (ledger.block, ledger.accounts)
-    def firstTxOf(b: Long): Int = block.indexWhere(_ >= b) match { case -1 => block.length; case i => i }
+    val accounts = ledger.accounts
     // The offsets of the transactions in blocks [lo, hi).
-    def blocks(lo: Long, hi: Long): Array[Int] = ledger.offsets.slice(firstTxOf(lo), firstTxOf(hi) + 1)
+    def blocks(lo: Long, hi: Long): Array[Int] = ledger.offsets.slice(ledger.firstTxOf(lo), ledger.firstTxOf(hi) + 1)
 
     val trainBlocks = (params.nBlocks * TrainFrac).toLong
     val stepBlocks = math.max(1L, (params.nBlocks - trainBlocks) / cfg.nSteps)

@@ -20,7 +20,7 @@ final case class SweepConfig(
 
 /** One (method, k, eta) cell of the sweep, carrying every T2-T8 metric. */
 final case class SweepRow(method: String, k: Int, eta: Double,
-                          metrics: MetricsResult, allocMillis: Long) {
+                          metrics: MetricsResult, allocNanos: Long) {
   def gamma: Double = metrics.gamma
   def rho: Double = metrics.rho
   def normThroughput: Double = metrics.normThroughput
@@ -51,7 +51,7 @@ object Sweep {
   val CaseStudyEta = 2.0
 
   /** A mapping as ascending account ids with their shards, and the
-    * allocator's time in ms.
+    * allocator's time in ns.
     */
   private type Timed = ((Array[Long], Array[Int]), Long)
 
@@ -64,21 +64,22 @@ object Sweep {
     val g = TxGraph.fromIncidence(offsets, accounts)
     val txSeq = Array.tabulate(ledger.nTx)(t => (ledger.txId(t), accounts.slice(offsets(t), offsets(t + 1))))
 
-    def timed(mapping: => (Array[Long], Array[Int])): Timed = {
+    def timed[A](allocate: => A): (A, Long) = {
       val t0 = System.nanoTime()
-      val m = mapping
-      (m, (System.nanoTime() - t0) / 1000000L)
+      val a = allocate
+      (a, System.nanoTime() - t0)
     }
     def hash(k: Int): Timed = timed((g.ids, g.ids.map(HashAllocator.shard(_, k))))
     def metis(k: Int): Timed = timed((g.ids, Metis.partition(g, k)))
     // The scheduler's eta only feeds its own range check.
     def scheduler(k: Int): Timed = {
-      val (m, ms) = ShardScheduler.allocate(txSeq.iterator, k, cfg.etas.head)
-      (Alloc.arrays(m), ms)
+      val (m, ns) = timed(ShardScheduler.allocate(txSeq.iterator, k, cfg.etas.head)._1)
+      (Alloc.arrays(m), ns)
     }
     def gTxAllo(k: Int, eta: Double): Timed = {
-      val res = GTxAllo.run(g, TxAlloParams.default(g, k, eta))
-      ((res.ids, res.assign), res.millis)
+      val params = TxAlloParams.default(g, k, eta)
+      val (res, ns) = timed(GTxAllo.run(g, params))
+      ((res.ids, res.assign), ns)
     }
 
     // Untimed warm-up, so that no timed call pays class loading or JIT compilation.
@@ -89,8 +90,8 @@ object Sweep {
     val rows = Seq.newBuilder[SweepRow]
     for (k <- cfg.ks) {
       val baselines = Seq(hash(k), metis(k), scheduler(k))
-      for (eta <- cfg.etas; (m, ((ids, shard), ms)) <- Methods.zip(baselines :+ gTxAllo(k, eta)))
-        rows += SweepRow(m, k, eta, Metrics.evaluateIncidence(offsets, accounts, ids, shard, k, eta), ms)
+      for (eta <- cfg.etas; (m, ((ids, shard), ns)) <- Methods.zip(baselines :+ gTxAllo(k, eta)))
+        rows += SweepRow(m, k, eta, Metrics.evaluateIncidence(offsets, accounts, ids, shard, k, eta), ns)
     }
     SweepResult(cfg, ledger.nTx.toLong, g.n.toLong, rows.result())
   }

@@ -16,7 +16,7 @@ object Tables {
     ("T5", sweepTable("T5 normalized throughput Lambda/lambda", _, _.normThroughput)),
     ("T6", sweepTable("T6 average confirmation latency zeta [blocks]", _, _.avgLatency)),
     ("T7", sweepTable("T7 worst-case latency [blocks]", _, _.worstLatency)),
-    ("T8", sweepTable("T8 allocation running time [s]", _, _.allocMillis / 1000.0)))
+    ("T8", sweepTable("T8 allocation running time [s]", _, _.allocNanos / 1e9, decimals = 6)))
 
   /** T9-T10, both rendered from one evolution study. */
   val evolutionTables: ListMap[String, EvolutionResult => String] = ListMap(
@@ -26,10 +26,8 @@ object Tables {
   /** Every table id, in paper order. */
   val ids: Seq[String] = (sweepTables.keys ++ evolutionTables.keys).toSeq
 
-  private def fmt(x: Double): String = f"$x%10.4f"
-
   /** Pivot a sweep metric into one block per eta: rows = k, cols = methods. */
-  private def sweepTable(title: String, res: SweepResult, value: SweepRow => Double): String = {
+  private def sweepTable(title: String, res: SweepResult, value: SweepRow => Double, decimals: Int = 4): String = {
     val sb = new StringBuilder
     sb ++= s"== $title (nTx=${res.nTx}, nAccounts=${res.nAccounts}) ==\n"
     for (eta <- res.cfg.etas) {
@@ -39,7 +37,7 @@ object Tables {
         sb ++= f"$k%4d"
         for (m <- Sweep.Methods) {
           val row = res.rows.find(r => r.method == m && r.k == k && r.eta == eta)
-          sb ++= row.map(r => fmt(value(r))).getOrElse("         -")
+          sb ++= row.map(r => s"%10.${decimals}f".format(value(r))).getOrElse("         -")
         }
         sb ++= "\n"
       }

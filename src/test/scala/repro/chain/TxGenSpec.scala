@@ -130,6 +130,30 @@ class TxGenSpec extends SparkSpec {
     assert(e.getMessage.contains(s"txId ${p.nTx - 2} follows ${p.nTx - 1}"))
   }
 
+  test("the packed read rejects a null account set, a null account and txIds out of order, naming the row") {
+    import spark.implicits._
+    def ledger(rows: (Long, Seq[Option[Long]])*) = rows.map { case (id, a) => (id, 0L, a) }.toDF("txId", "block", "accounts")
+    val ok = Seq(Some(1L), Some(2L))
+    val nullSet = ledger(0L -> ok, 1L -> null)
+    val nullAccount = ledger(0L -> ok, 1L -> Seq(Some(3L), None))
+    for ((read, msg) <- Seq(
+           (() => TxGen.collectByTxId(nullSet), "txId 1: null or empty account set"),
+           (() => repro.core.TxGraph.fromTxs(nullSet), "txId 1: null or empty account set"),
+           (() => TxGen.collectByTxId(nullAccount), "txId 1: null account"),
+           (() => repro.core.TxGraph.fromTxs(nullAccount), "txId 1: null account"),
+           (() => TxGen.collectByTxId(ledger(0L -> ok, 2L -> ok, 1L -> ok)), "txId 1 follows 2"))) {
+      val e = intercept[IllegalArgumentException](read())
+      assert(e.getMessage.contains(msg), e.getMessage)
+    }
+  }
+
+  test("firstTxOf is the first row at or after a block") {
+    val in = TxGen.collectByTxId(txs)
+    for (b <- -1L to in.block.last + 2)
+      assert(in.firstTxOf(b) == (in.block.indexWhere(_ >= b) match { case -1 => in.nTx; case t => t }), s"block $b")
+    assert(Incidence(Array.emptyLongArray, Array.emptyLongArray, Array(0), Array.emptyLongArray).firstTxOf(3) == 0)
+  }
+
   test("scale factor helper respects the paper's tx:account ratio") {
     val cp = ChainParams.atScale(0.01)
     assert(cp.nTx == 60000)

@@ -44,6 +44,28 @@ class PropertySpec extends AnyFunSuite {
     })
   }
 
+  test("rank equals sort + distinct + binarySearch on any range") {
+    val genId = Gen.frequency(
+      4 -> Gen.choose(-20L, 20L),                                      // many duplicates, negative ids
+      1 -> Gen.oneOf(Long.MinValue, Long.MinValue + 1, Long.MaxValue - 1, Long.MaxValue),
+      1 -> Gen.choose(0L, 63L).map(_ << 40),                           // equal low bits
+      1 -> Gen.choose(Long.MinValue, Long.MaxValue))
+    val gen = for {
+      xs <- Gen.choose(0, 300).flatMap(Gen.listOfN(_, genId)).map(_.toArray)
+      lo <- Gen.choose(0, xs.length)
+      hi <- Gen.choose(lo, xs.length)
+    } yield (xs, lo, hi)
+    def matches(xs: Array[Long], lo: Int, hi: Int): Boolean = {
+      val (ids, idx) = Graph.rank(xs, lo, hi)
+      val want = xs.slice(lo, hi).distinct.sorted
+      ids.sameElements(want) && idx.sameElements(xs.slice(lo, hi).map(java.util.Arrays.binarySearch(want, _)))
+    }
+    check("rank", Prop.forAll(gen) { case (xs, lo, hi) => matches(xs, lo, hi) }, n = 500)
+    val big = Array.fill(100000)(scala.util.Random.nextLong() % 30000)
+    assert(matches(big, 0, big.length) && matches(big, 77, 99000) && matches(big, 5, 5))
+    assert(matches(Array.emptyLongArray, 0, 0))
+  }
+
   test("latency equals numeric integration of ceil(x)/sigmaHat") {
     val genS = Gen.choose(1, 8000).map(_ / 1000.0)
     check("latency-integral", Prop.forAll(genS) { s =>

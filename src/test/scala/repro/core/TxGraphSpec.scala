@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.chain.{ChainParams, TxGen}
+import repro.eval.Metrics
 import scala.util.hashing.MurmurHash3
 
 /** Transaction-graph construction (Definition 2): pair expansion, 1/pi
@@ -124,6 +125,23 @@ class TxGraphSpec extends SparkSpec {
     val g = TxGraph.fromTxs(txs)
     for (n <- Seq(1, 7, 64)) assert(TestUtil.sameGraph(TxGraph.fromTxs(txs.repartition(n)), g), s"$n partitions")
     assert(TestUtil.sameGraph(TxGraph.fromTxs(txs.orderBy(rand(1))), g), "shuffled rows")
+    txs.unpersist()
+  }
+
+  test("the ledger's graph, G-TxAllo mapping and metrics do not depend on how the ledger is partitioned") {
+    val txs = TxGen.transactions(spark, ChainParams.atScale(0.002, seed = 13)).cache()
+    val g = TxGraph.fromTxs(txs)
+    val res = GTxAllo.run(g, TxAlloParams.default(g, 8, 2.0))
+    for ((name, part) <- Seq(("1 partition", txs.coalesce(1)), ("7 partitions", txs.repartition(7)))) {
+      val gp = TxGraph.fromTxs(part)
+      assert(TestUtil.sameGraph(gp, g), name)
+      val rp = GTxAllo.run(gp, TxAlloParams.default(gp, 8, 2.0))
+      assert(MurmurHash3.arrayHash(rp.assign) == MurmurHash3.arrayHash(res.assign), name)
+    }
+    val ledger = TxGen.collectByTxId(txs)
+    val shuffled = TxGen.txAccounts(txs).orderBy(rand(5)).repartition(7)
+    assert(Metrics.evaluate(shuffled, repro.alloc.Alloc.toDf(spark, res.toMap), 8, 2.0) ==
+      Metrics.evaluateIncidence(ledger.offsets, ledger.accounts, res.ids, res.assign, 8, 2.0))
     txs.unpersist()
   }
 
