@@ -29,9 +29,7 @@ object Alloc {
     * `Metrics.evaluateIncidence` rejects it.
     */
   def arrays(alloc: DataFrame): (Array[Long], Array[Int]) = {
-    // By field index: a new projection would be planned again on every call.
-    val Seq(a, s) = Seq("account", "shard").map(alloc.schema.fieldIndex)
-    val rows = alloc.collect().map(r => (r.getLong(a), r.getInt(s))).sortBy(_._1)
+    val rows = alloc.select("account", "shard").collect().map(r => (r.getLong(0), r.getInt(1))).sortBy(_._1)
     (rows.map(_._1), rows.map(_._2))
   }
 }

@@ -26,7 +26,7 @@ object ShardScheduler {
     * @param k    number of shards
     * @param eta  cross-shard workload factor (kept for interface parity;
     *             the online criterion is activity-based)
-    * @return (mapping account -> shard, wall-clock millis)
+    * @return (mapping account -> shard, wall-clock nanoseconds)
     */
   def allocate(txs: Iterator[(Long, Array[Long])], k: Int, eta: Double): (Map[Long, Int], Long) = {
     require(eta >= 1.0, "eta must be >= 1")
@@ -82,6 +82,6 @@ object ShardScheduler {
       }
       }
     }
-    ((shardOf.toMap, (System.nanoTime() - t0) / 1000000L))
+    ((shardOf.toMap, System.nanoTime() - t0))
   }
 }

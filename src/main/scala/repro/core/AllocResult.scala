@@ -7,7 +7,7 @@ package repro.core
   * @param initThroughput  modeled graph throughput after the join phase
   * @param finalThroughput modeled graph throughput at convergence
   * @param sweeps          optimization sweeps executed
-  * @param millis          wall-clock running time of the whole algorithm
+  * @param nanos           wall-clock running time of the whole algorithm, in ns
   */
 final case class AllocResult(
     ids: Array[Long],
@@ -15,7 +15,7 @@ final case class AllocResult(
     initThroughput: Double,
     finalThroughput: Double,
     sweeps: Int,
-    millis: Long) {
+    nanos: Long) {
 
   require(ids.length == assign.length, "ids/assign length mismatch")
 

@@ -119,7 +119,7 @@ final class AllocState(val g: Graph, val params: TxAlloParams) {
     * State is recomputed from scratch after every sweep to kill floating-point
     * drift.
     *
-    * @param t0 `System.nanoTime()` at the start of the run, for `millis`
+    * @param t0 `System.nanoTime()` at the start of the run, for `nanos`
     */
   def allocate(order: Array[Int], t0: Long): AllocResult = {
     recompute()
@@ -166,7 +166,7 @@ final class AllocState(val g: Graph, val params: TxAlloParams) {
       initThroughput = initThroughput,
       finalThroughput = totalThroughput,
       sweeps = sweeps,
-      millis = (System.nanoTime() - t0) / 1000000L)
+      nanos = System.nanoTime() - t0)
   }
 
   /** The gathered community q != skip with the largest gain base + joinGain,

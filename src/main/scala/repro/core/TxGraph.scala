@@ -30,11 +30,13 @@ object TxGraph {
 
   /** The driver-side CSR graph of a `(txId, block, accounts)` ledger: one
     * packed read of each transaction's sorted distinct account set
-    * ([[Incidence.collect]]), then [[fromIncidence]].
+    * ([[Incidence.collect]]), then [[fromIncidence]]. That read also takes
+    * the `txId` and `block` columns, which the graph does not use, so `txs`
+    * must have both.
     *
-    * @throws IllegalArgumentException if a transaction's account set or an
-    *   account is null, or the set is empty (it would carry no weight), or if
-    *   L·|T| exceeds 2^53
+    * @throws IllegalArgumentException if a transaction's txId, block, account
+    *   set or an account is null, or the set is empty (it would carry no
+    *   weight), or if L·|T| exceeds 2^53
     */
   def fromTxs(txs: DataFrame): Graph = {
     val in = Incidence.collect(txs.withColumn("accounts", array_sort(array_distinct(col("accounts")))))

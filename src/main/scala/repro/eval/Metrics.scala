@@ -1,7 +1,6 @@
 package repro.eval
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.LongType
 import repro.alloc.Alloc
 import repro.core.{AllocState, Graph}
@@ -53,7 +52,7 @@ object Metrics {
     * @param eta        cross-shard workload factor
     * @param lambdaOpt  per-shard capacity; defaults to the paper's |T| / k
     * @throws IllegalArgumentException as [[evaluateIncidence]] does, or if a
-    *         txId or an account is null
+    *         txId or an account is null or either column is not `long`
     */
   def evaluate(txAccounts: DataFrame, alloc: DataFrame, k: Int, eta: Double,
                lambdaOpt: Option[Double] = None): MetricsResult = {
@@ -74,17 +73,19 @@ object Metrics {
     * order. Each partition packs its pairs into two arrays, so the driver
     * receives a few arrays instead of a row object with two boxed values per
     * pair; on a 240K-pair ledger that makes the evaluation faster and its
-    * time steadier from run to run (`BENCH_9.json`). Long columns are read
-    * through the input's own plan, which a cached input plans only once.
+    * time steadier from run to run (`BENCH_9.json`). The pairs are read
+    * through the input's own plan, which a cached input plans only once; a
+    * projection would be planned again on every call.
     *
-    * @throws IllegalArgumentException if a txId or an account is null
+    * @throws IllegalArgumentException if a txId or an account is null, or
+    *   either column is not `long`
     */
   private def pairs(txAccounts: DataFrame): (Array[Long], Array[Long]) = {
-    val cols = Seq("txId", "account")
-    val df = if (cols.forall(txAccounts.schema(_).dataType == LongType)) txAccounts
-             else txAccounts.select(cols.map(c => col(c).cast("long")): _*)
-    val Seq(t, a) = cols.map(df.schema.fieldIndex)
-    val parts = df
+    val Seq(t, a) = Seq("txId", "account").map { c =>
+      require(txAccounts.schema(c).dataType == LongType, s"$c is ${txAccounts.schema(c).dataType.simpleString}, not bigint")
+      txAccounts.schema.fieldIndex(c)
+    }
+    val parts = txAccounts
       .queryExecution.toRdd.mapPartitions { rows =>
         val txId = mutable.ArrayBuilder.make[Long]
         val account = mutable.ArrayBuilder.make[Long]

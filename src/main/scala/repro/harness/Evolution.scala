@@ -87,6 +87,6 @@ object Evolution {
     }
 
     val runs = strategies.zip(records).map { case ((name, _), recs) => StrategyRun(name, recs.result()) }
-    EvolutionResult(cfg, nTx, bootstrap.millis, runs)
+    EvolutionResult(cfg, nTx, bootstrap.nanos / 1000000L, runs)
   }
 }

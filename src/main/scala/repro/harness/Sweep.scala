@@ -64,22 +64,22 @@ object Sweep {
     val g = TxGraph.fromIncidence(offsets, accounts)
     val txSeq = Array.tabulate(ledger.nTx)(t => (ledger.txId(t), accounts.slice(offsets(t), offsets(t + 1))))
 
-    def timed[A](allocate: => A): (A, Long) = {
+    // Hash and METIS time no call of their own; the other two report their time.
+    def timed(mapping: => (Array[Long], Array[Int])): Timed = {
       val t0 = System.nanoTime()
-      val a = allocate
-      (a, System.nanoTime() - t0)
+      val m = mapping
+      (m, System.nanoTime() - t0)
     }
     def hash(k: Int): Timed = timed((g.ids, g.ids.map(HashAllocator.shard(_, k))))
     def metis(k: Int): Timed = timed((g.ids, Metis.partition(g, k)))
     // The scheduler's eta only feeds its own range check.
     def scheduler(k: Int): Timed = {
-      val (m, ns) = timed(ShardScheduler.allocate(txSeq.iterator, k, cfg.etas.head)._1)
+      val (m, ns) = ShardScheduler.allocate(txSeq.iterator, k, cfg.etas.head)
       (Alloc.arrays(m), ns)
     }
     def gTxAllo(k: Int, eta: Double): Timed = {
-      val params = TxAlloParams.default(g, k, eta)
-      val (res, ns) = timed(GTxAllo.run(g, params))
-      ((res.ids, res.assign), ns)
+      val res = GTxAllo.run(g, TxAlloParams.default(g, k, eta))
+      ((res.ids, res.assign), res.nanos)
     }
 
     // Untimed warm-up, so that no timed call pays class loading or JIT compilation.

@@ -78,7 +78,7 @@ class ShardSchedulerSpec extends AnyFunSuite {
 
   test("running time is reported") {
     val txs = txStream(4, 100, 30)
-    val (_, ms) = ShardScheduler.allocate(txs.iterator, 4, 2.0)
-    assert(ms >= 0)
+    val (_, ns) = ShardScheduler.allocate(txs.iterator, 4, 2.0)
+    assert(ns >= 0)
   }
 }

@@ -191,6 +191,14 @@ class MetricsSpec extends SparkSpec {
     }
   }
 
+  test("evaluate rejects a txId or account column that is not long") {
+    for (c <- Seq("txId", "account")) {
+      val txAcc = handTxAcc.withColumn(c, col(c).cast("int"))
+      val e = intercept[IllegalArgumentException](Metrics.evaluate(txAcc, handAlloc, 2, 2.0))
+      assert(e.getMessage.contains(s"$c is int, not bigint"), e.getMessage)
+    }
+  }
+
   private lazy val ledgerTxs = TxGen.transactions(spark, ChainParams.atScale(0.002, seed = 25))
   private lazy val ledgerAlloc = HashAllocator.allocate(TxGen.accounts(ledgerTxs), 7)
 
