@@ -60,6 +60,26 @@ class PinnedOutputSpec extends AnyFunSuite {
     assert(hex(fp(Metis.partition(g, 4))) == "0x7e046c84")
   }
 
+  test("METIS partition of a graph that coarsens through several levels is pinned") {
+    // 3,000 nodes coarsen through 6 matching passes down to 115 nodes, so the
+    // partition is projected and refined across every one of those levels.
+    val deep = TestUtil.randomGraph(3000, 9000, 100, seed = 4)
+    assert(hex(fp(Metis.partition(deep, 2))) == "0xaa8d44d5")
+    assert(hex(fp(Metis.partition(deep, 8))) == "0x9d351bdf")
+  }
+
+  test("METIS partition of a hub-and-stars graph whose matching stalls is pinned") {
+    // A hub joined to 4 star centres with 75 leaves each: the hub is too
+    // heavy to match and each centre matches one leaf at most, so the first
+    // pass shrinks 305 nodes by under 5% and the graph is seeded as is.
+    val rnd = new scala.util.Random(9)
+    val spokes = (1 to 4).map(c => (0L, c.toLong, 0.5 + rnd.nextDouble()))
+    val leaves = for (c <- 1 to 4; i <- 0 until 75) yield (c.toLong, (100 * c + i).toLong, 0.5 + rnd.nextDouble())
+    val hub = Graph.fromEdges(spokes ++ leaves)
+    assert(hex(fp(Metis.partition(hub, 2))) == "0xc2e3f58a")
+    assert(hex(fp(Metis.partition(hub, 8))) == "0x6dbbe513")
+  }
+
   test("merged graph and A-TxAllo mapping after a merge are pinned") {
     val prev = GTxAllo.run(g, TxAlloParams.default(g, 8, 2.0)).toMap
     val g1 = Graph.merge(g, step)
