@@ -65,20 +65,11 @@ class MetisSpec extends AnyFunSuite {
   test("coarsening conserves total vertex weight and shrinks the graph") {
     val g = TestUtil.randomGraph(100, 400, 10, seed = 3)
     val nodeW = activity(g)
-    val (coarse, coarseW, map) = Coarsening.coarsenOnce(g, nodeW)
+    val (coarse, coarseW, map) = Metis.coarsen(g, nodeW, Double.PositiveInfinity)
     assert(coarse.n < g.n)
     assert(math.abs(coarseW.sum - nodeW.sum) < 1e-9)
+    assert(map.length == g.n)
     map.foreach(c => assert(c >= 0 && c < coarse.n))
-  }
-
-  test("coarsening level stack maps line up") {
-    val g = TestUtil.randomGraph(200, 800, 10, seed = 4)
-    val (levels, maps) = Coarsening.coarsen(g, activity(g), targetN = 32)
-    assert(levels.length == maps.length + 1)
-    maps.zipWithIndex.foreach { case (m, i) =>
-      assert(m.length == levels(i)._1.n)
-      m.foreach(c => assert(c >= 0 && c < levels(i + 1)._1.n))
-    }
   }
 
   test("refinement never increases the cut") {
@@ -86,14 +77,14 @@ class MetisSpec extends AnyFunSuite {
     val rnd = new scala.util.Random(2)
     val start = Array.fill(g.n)(rnd.nextInt(4))
     val before = GraphMetrics.cutRatio(g, start)
-    val after = GraphMetrics.cutRatio(g, Refinement.refine(g, activity(g), start.clone(), 4, 0.05))
+    val after = GraphMetrics.cutRatio(g, Metis.refine(g, activity(g), start.clone(), 4))
     assert(after <= before + 1e-9, s"cut went up: $before -> $after")
   }
 
   test("initial partition respects the feasibility cap when possible") {
     val g = Graph.build(Array(0L, 1L, 2L, 3L), Array.emptyIntArray, Array.emptyIntArray,
                         Array.emptyDoubleArray)
-    val part = InitialPartition.seed(g, Array(1.0, 1.0, 1.0, 1.0), 2, imbalance = 0.0)
+    val part = Metis.seed(g, Array(1.0, 1.0, 1.0, 1.0), 2)
     val loads = new Array[Double](2)
     (0 until 4).foreach(v => loads(part(v)) += 1.0)
     assert(loads.toSeq == Seq(2.0, 2.0))
@@ -116,7 +107,7 @@ class MetisSpec extends AnyFunSuite {
 
   test("refinement lists each neighbour part once under zero-weight arcs") {
     val g = Graph.fromEdges(Seq((1L, 2L, 0.0), (1L, 3L, 0.0), (1L, 4L, 0.0), (2L, 3L, 1.0), (3L, 4L, 1.0)))
-    val part = Refinement.refine(g, Array(1.0, 1.0, 1.0, 1.0), Array(1, 0, 0, 0), 2, 10.0)
+    val part = Metis.refine(g, Array(1.0, 1.0, 1.0, 1.0), Array(1, 0, 0, 0), 2)
     assert(part.forall(s => s >= 0 && s < 2), part.toSeq)
   }
 }
