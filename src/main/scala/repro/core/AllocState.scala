@@ -96,15 +96,13 @@ final class AllocState(val g: Graph, val params: TxAlloParams) {
   }
 
   /** Apply "v moves from its current community p to q" (Lemma 1: only p and q
-    * change).
+    * change): p loses v, then q takes it as in `applyJoin`.
     */
   def applyMove(v: Int, q: Int, wvp: Double, wvq: Double): Unit = {
     val p = comm(v)
     sigma(p) += -g.self(v) - eta * (g.strength(v) - wvp) + (eta - 1) * wvp
     lamHat(p) += -g.self(v) - g.strength(v) / 2
-    comm(v) = q
-    sigma(q) += g.self(v) + eta * (g.strength(v) - wvq) + (1 - eta) * wvq
-    lamHat(q) += g.self(v) + g.strength(v) / 2
+    applyJoin(v, q, wvq)
   }
 
   /** The shared tail of Algorithms 1 and 2, run on the seeded `comm`:
