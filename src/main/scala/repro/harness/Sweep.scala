@@ -83,12 +83,14 @@ object Sweep {
     }
 
     // Untimed warm-up, so that no timed call pays class loading or JIT compilation.
-    hash(cfg.ks.head); metis(cfg.ks.head); scheduler(cfg.ks.head); gTxAllo(cfg.ks.head, cfg.etas.head)
+    // Hash, a millisecond's work, warms up instead right before each timed call.
+    metis(cfg.ks.head); scheduler(cfg.ks.head); gTxAllo(cfg.ks.head, cfg.etas.head)
 
     // Metrics.evaluateIncidence rejects any mapping that breaks Definition 1:
     // an unmapped ledger account, an account mapped twice, a shard outside [0, k).
     val rows = Seq.newBuilder[SweepRow]
     for (k <- cfg.ks) {
+      hash(k)
       val baselines = Seq(hash(k), metis(k), scheduler(k))
       for (eta <- cfg.etas; (m, ((ids, shard), ns)) <- Methods.zip(baselines :+ gTxAllo(k, eta)))
         rows += SweepRow(m, k, eta, Metrics.evaluateIncidence(offsets, accounts, ids, shard, k, eta), ns)
