@@ -17,7 +17,7 @@ object Figures {
 
   def main(args: Array[String]): Unit = {
     val (sf, ids) = parse(args)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("Figures")
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

@@ -43,15 +43,15 @@ object Incidence {
           problem =
             if (r.isNullAt(0)) "a null txId"
             else if (r.isNullAt(1)) s"txId ${r.getLong(0)}: null block"
-            else if (a == null || a.numElements == 0) s"txId ${r.getLong(0)}: null or empty account set"
-            else if ((0 until a.numElements).exists(a.isNullAt)) s"txId ${r.getLong(0)}: null account"
+            else if (a == null || a.numElements() == 0) s"txId ${r.getLong(0)}: null or empty account set"
+            else if ((0 until a.numElements()).exists(a.isNullAt)) s"txId ${r.getLong(0)}: null account"
             else null
-          if (problem == null) { txId += r.getLong(0); block += r.getLong(1); sizes += a.numElements; accounts ++= a.toLongArray }
+          if (problem == null) { txId += r.getLong(0); block += r.getLong(1); sizes += a.numElements(); accounts ++= a.toLongArray() }
         }
         Iterator((txId.result(), block.result(), sizes.result(), accounts.result(), problem))
       }.collect()
     parts.flatMap(p => Option(p._5)).headOption.foreach(p => throw new IllegalArgumentException(p))
-    Incidence(Array.concat(parts.map(_._1): _*), Array.concat(parts.map(_._2): _*),
-              Array.concat(parts.map(_._3): _*).scanLeft(0)(_ + _), Array.concat(parts.map(_._4): _*))
+    Incidence(Array.concat(parts.toSeq.map(_._1): _*), Array.concat(parts.toSeq.map(_._2): _*),
+              Array.concat(parts.toSeq.map(_._3): _*).scanLeft(0)(_ + _), Array.concat(parts.toSeq.map(_._4): _*))
   }
 }

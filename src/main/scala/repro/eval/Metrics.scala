@@ -97,7 +97,7 @@ object Metrics {
         Iterator((txId.result(), account.result(), nulls))
       }.collect()
     require(parts.forall(_._3 == 0), "a txId or an account is null")
-    (Array.concat(parts.map(_._1): _*), Array.concat(parts.map(_._2): _*))
+    (Array.concat(parts.toSeq.map(_._1): _*), Array.concat(parts.toSeq.map(_._2): _*))
   }
 
   /** The metrics of a mapping over a flat incidence: transaction t has the
