@@ -1,7 +1,7 @@
 package repro.alloc
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructType}
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.chain.LocalFrame
 
 /** Helpers moving account-shard mappings between driver maps, the
   * `(account: Long, shard: Int)` DataFrame shape and the ascending arrays
@@ -10,12 +10,9 @@ import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructTyp
   */
 object Alloc {
 
-  /** Driver map -> (account, shard) DataFrame. */
-  def toDf(spark: SparkSession, mapping: Map[Long, Int]): DataFrame = {
-    val (ids, shard) = arrays(mapping)
-    spark.createDataFrame(java.util.Arrays.asList(ids.indices.map(i => Row(ids(i), shard(i))): _*),
-      StructType(Seq(StructField("account", LongType, nullable = false), StructField("shard", IntegerType, nullable = false))))
-  }
+  /** Driver map -> (account, shard) DataFrame, in ascending account order. */
+  def toDf(spark: SparkSession, mapping: Map[Long, Int]): DataFrame =
+    arrays(mapping) match { case (ids, shard) => LocalFrame(spark, "account" -> ids, "shard" -> shard) }
 
   /** Driver map -> ascending account ids and their shards. */
   def arrays(mapping: Map[Long, Int]): (Array[Long], Array[Int]) = {
@@ -29,7 +26,7 @@ object Alloc {
     * `Metrics.evaluateIncidence` rejects it.
     */
   def arrays(alloc: DataFrame): (Array[Long], Array[Int]) = {
-    val rows = alloc.select("account", "shard").collect().map(r => (r.getLong(0), r.getInt(1))).sortBy(_._1)
-    (rows.map(_._1), rows.map(_._2))
+    val rows = alloc.select("account", "shard").collect().sortBy(_.getLong(0)) // one pass if ascending already
+    (rows.map(_.getLong(0)), rows.map(_.getInt(1)))
   }
 }

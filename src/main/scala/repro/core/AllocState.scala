@@ -48,20 +48,21 @@ final class AllocState(val g: Graph, val params: TxAlloParams) {
   def recompute(): Unit = {
     java.util.Arrays.fill(sigma, 0.0)
     java.util.Arrays.fill(lamHat, 0.0)
+    val higher = g.firstHigher
     var v = 0
     while (v < g.n) {
       val cv = comm(v)
       if (cv != Unassigned) { sigma(cv) += g.self(v); lamHat(cv) += g.self(v) }
-      g.foreachNbr(v) { (u, w) =>
-        if (u > v) {
-          val cu = comm(u)
-          if (cv == cu) {
-            if (cv != Unassigned) { sigma(cv) += w; lamHat(cv) += w }
-          } else {
-            if (cv != Unassigned) { sigma(cv) += eta * w; lamHat(cv) += w / 2 }
-            if (cu != Unassigned) { sigma(cu) += eta * w; lamHat(cu) += w / 2 }
-          }
+      var e = higher(v)
+      while (e < g.offsets(v + 1)) {
+        val cu = comm(g.nbr(e)); val w = g.wgt(e)
+        if (cv == cu) {
+          if (cv != Unassigned) { sigma(cv) += w; lamHat(cv) += w }
+        } else {
+          if (cv != Unassigned) { sigma(cv) += eta * w; lamHat(cv) += w / 2 }
+          if (cu != Unassigned) { sigma(cu) += eta * w; lamHat(cu) += w / 2 }
         }
+        e += 1
       }
       v += 1
     }

@@ -50,6 +50,11 @@ final class Graph private[core] (
     var e = offsets(v)
     while (e < offsets(v + 1)) { f(nbr(e), wgt(e)); e += 1 }
   }
+
+  /** Per node v, its row's first arc to a neighbor u > v (or the row's end), from which on the arcs give each
+    * undirected edge once over all v: a binary search in the sorted, self-loop-free row, once per graph.
+    */
+  lazy val firstHigher: Array[Int] = Array.tabulate(n)(v => -java.util.Arrays.binarySearch(nbr, offsets(v), offsets(v + 1), v) - 1)
 }
 
 object Graph {
@@ -110,9 +115,7 @@ object Graph {
     while (v < g.n) {
       val lv = label(v)
       src(i) = lv; dst(i) = lv; w(i) = g.self(v); i += 1
-      g.foreachNbr(v) { (u, wu) =>
-        if (v < u) { src(i) = lv; dst(i) = label(u); w(i) = wu; i += 1 }
-      }
+      for (e <- g.firstHigher(v) until g.offsets(v + 1)) { src(i) = lv; dst(i) = label(g.nbr(e)); w(i) = g.wgt(e); i += 1 }
       v += 1
     }
     (src, dst, w)

@@ -1,9 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
-import repro.chain.Incidence
+import org.apache.spark.sql.DataFrame
+import repro.chain.{Incidence, LocalFrame}
 import scala.collection.mutable
 
 /** Transaction-graph construction (paper Definition 2).
@@ -29,18 +27,25 @@ object TxGraph {
   private val MaxExactUnits = 1L << 53
 
   /** The driver-side CSR graph of a `(txId, block, accounts)` ledger: one
-    * packed read of each transaction's sorted distinct account set
-    * ([[Incidence.collect]]), then [[fromIncidence]]. That read also takes
-    * the `txId` and `block` columns, which the graph does not use, so `txs`
-    * must have both.
+    * packed read ([[Incidence.collect]]), each account set sorted (unless it
+    * ascends strictly already, as TxGen's do) and deduplicated on the driver,
+    * then [[fromIncidence]]. The read also takes the `txId` and `block`
+    * columns, which the graph does not use, so `txs` must have both.
     *
     * @throws IllegalArgumentException if a transaction's txId, block, account
     *   set or an account is null, or the set is empty (it would carry no
     *   weight), or if L·|T| exceeds 2^53
     */
   def fromTxs(txs: DataFrame): Graph = {
-    val in = Incidence.collect(txs.withColumn("accounts", array_sort(array_distinct(col("accounts")))))
-    fromIncidence(in.offsets, in.accounts)
+    val Incidence(_, _, offsets, accounts) = Incidence.collect(txs)
+    var (a, j) = (0, 0) // row t - 1 moves down in place, from [a, offsets(t)) to start at j <= a
+    for (t <- 1 until offsets.length) {
+      val b = offsets(t)
+      if ((a + 1 until b).exists(i => accounts(i - 1) >= accounts(i))) java.util.Arrays.sort(accounts, a, b)
+      for (i <- a until b) if (i == a || accounts(i) != accounts(j - 1)) { accounts(j) = accounts(i); j += 1 }
+      offsets(t) = j; a = b
+    }
+    fromIncidence(offsets, accounts)
   }
 
   /** The graph of transactions t in [0, offsets.length - 1), where
@@ -110,13 +115,11 @@ object TxGraph {
   }
 
   /** `fromTxs(txs)` as an undirected edge list `(src: Long, dst: Long,
-    * weight: Double)` of [[edgeRows]]. A local DataFrame; `Graph.fromEdges`
-    * of its rows rebuilds the same graph.
+    * weight: Double)` of [[edgeRows]], in their order. A local DataFrame
+    * ([[LocalFrame]]); `Graph.fromEdges` of its rows rebuilds the same graph.
     */
   def edges(txs: DataFrame): DataFrame =
-    txs.sparkSession.createDataFrame(java.util.Arrays.asList(edgeRows(fromTxs(txs)).map(Row.fromTuple): _*),
-      StructType(Seq("src", "dst").map(StructField(_, LongType, nullable = false)) :+
-        StructField("weight", DoubleType, nullable = false)))
+    edgeRows(fromTxs(txs)).unzip3 match { case (s, d, w) => LocalFrame(txs.sparkSession, "src" -> s, "dst" -> d, "weight" -> w) }
 
   /** `g`'s undirected edges in node order: per node, its self-loop (a, a)
     * if its weight is non-zero, then each arc to a higher index once, with
@@ -128,7 +131,7 @@ object TxGraph {
     while (v < g.n) {
       val a = g.ids(v)
       if (g.self(v) != 0.0) rows += ((a, a, g.self(v)))
-      g.foreachNbr(v)((u, w) => if (v < u) rows += ((a, g.ids(u), w)))
+      for (e <- g.firstHigher(v) until g.offsets(v + 1)) rows += ((a, g.ids(g.nbr(e)), g.wgt(e)))
       v += 1
     }
     rows.result()

@@ -147,6 +147,20 @@ class TxGenSpec extends SparkSpec {
     }
   }
 
+  test("the packed read rejects a txId or block that is not bigint and accounts that are not array<bigint>, naming the column") {
+    import spark.implicits._
+    val ok = Seq((0L, 0L, Seq(1L, 2L))).toDF("txId", "block", "accounts")
+    for ((df, msg) <- Seq(
+           (ok.withColumn("txId", col("txId").cast("int")), "txId is int, not bigint"),
+           (ok.withColumn("block", col("block").cast("int")), "block is int, not bigint"),
+           (ok.withColumn("accounts", col("accounts").cast("array<int>")), "accounts is array<int>, not array<bigint>"),
+           (ok.withColumn("accounts", col("accounts")(0)), "accounts is bigint, not array<bigint>"))) {
+      val e = intercept[IllegalArgumentException](Incidence.collect(df))
+      assert(e.getMessage.contains(msg), e.getMessage)
+    }
+    assert(Incidence.collect(ok).accounts.toSeq == Seq(1L, 2L))
+  }
+
   test("firstTxOf is the first row at or after a block") {
     val in = TxGen.collectByTxId(txs)
     for (b <- -1L to in.block.last + 2)

@@ -44,6 +44,40 @@ class PropertySpec extends AnyFunSuite {
     })
   }
 
+  test("recompute from each edge once equals the all-arcs sums, with self-loops, zero weights and Unassigned nodes") {
+    val (k, eta) = (4, 2.5)
+    // The former recompute: every arc of every row, keeping those with u > v.
+    def allArcs(g: Graph, comm: Array[Int]): (Array[Double], Array[Double]) = {
+      val (sigma, lamHat) = (new Array[Double](k), new Array[Double](k))
+      for (v <- 0 until g.n) {
+        val cv = comm(v)
+        if (cv >= 0) { sigma(cv) += g.self(v); lamHat(cv) += g.self(v) }
+        g.foreachNbr(v) { (u, w) =>
+          val cu = comm(u)
+          if (u > v && cv == cu) { if (cv >= 0) { sigma(cv) += w; lamHat(cv) += w } }
+          else if (u > v) {
+            if (cv >= 0) { sigma(cv) += eta * w; lamHat(cv) += w / 2 }
+            if (cu >= 0) { sigma(cu) += eta * w; lamHat(cu) += w / 2 }
+          }
+        }
+      }
+      (sigma, lamHat)
+    }
+    val gen = for {
+      edges <- Gen.listOfN(80, for {
+                 a <- Gen.choose(0L, 24L)
+                 b <- Gen.frequency(1 -> Gen.const(a), 4 -> Gen.choose(0L, 24L))
+                 w <- Gen.frequency(1 -> Gen.const(0.0), 4 -> Gen.choose(1, 100).map(_ / 7.0))
+               } yield (a, b, w))
+      comm <- Gen.listOfN(25, Gen.choose(AllocState.Unassigned, k - 1))
+    } yield (Graph.fromEdges(edges), comm.toArray)
+    check("recompute-all-arcs", Prop.forAll(gen) { case (g, comm) =>
+      val st = AllocState.of(g, TxAlloParams(k, eta, lambda = 10.0, epsilon = 1e-3), comm)
+      val (sigma, lamHat) = allArcs(g, comm)
+      st.sigma.toSeq == sigma.toSeq && st.lamHat.toSeq == lamHat.toSeq
+    }, n = 300)
+  }
+
   test("rank equals sort + distinct + binarySearch on any range") {
     val genId = Gen.frequency(
       4 -> Gen.choose(-20L, 20L),                                      // many duplicates, negative ids

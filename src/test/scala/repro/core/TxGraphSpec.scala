@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.chain.{ChainParams, TxGen}
 import repro.eval.Metrics
@@ -211,6 +212,46 @@ class TxGraphSpec extends SparkSpec {
       assert(ends == accounts)
     }
     txs.unpersist()
+  }
+
+  private val edgeSchema = StructType(Seq(StructField("src", LongType, nullable = false),
+    StructField("dst", LongType, nullable = false), StructField("weight", DoubleType, nullable = false)))
+
+  private def sameArrays(a: Graph, b: Graph): Boolean =
+    java.util.Arrays.equals(a.ids, b.ids) && java.util.Arrays.equals(a.offsets, b.offsets) &&
+      java.util.Arrays.equals(a.nbr, b.nbr) && java.util.Arrays.equals(a.wgt, b.wgt) &&
+      java.util.Arrays.equals(a.self, b.self)
+
+  test("edges has a non-nullable (src, dst, weight) schema and the edgeRows of fromTxs, in order") {
+    // Below and above the row count where LocalFrame changes shape.
+    val counts = for (sf <- Seq(0.002, 0.01)) yield {
+      val txs = TxGen.transactions(spark, ChainParams.atScale(sf, seed = 4)).cache()
+      val df = TxGraph.edges(txs)
+      assert(df.schema == edgeSchema)
+      val rows = df.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSeq
+      assert(rows == TxGraph.edgeRows(TxGraph.fromTxs(txs)).toSeq)
+      txs.unpersist()
+      rows.length
+    }
+    assert(counts.head < repro.chain.LocalFrame.OneRowFrom && counts.last >= repro.chain.LocalFrame.OneRowFrom, counts)
+  }
+
+  test("edges of an empty ledger has no rows and the same schema") {
+    val df = TxGraph.edges(mkTxs(Seq.empty))
+    assert(df.schema == edgeSchema)
+    assert(df.collect().isEmpty)
+  }
+
+  test("fromTxs sorts and dedupes account sets as Spark's array_sort(array_distinct) does") {
+    val rnd = new scala.util.Random(17)
+    val rows = (0L until 300L).map(t => (t, Seq.fill(1 + rnd.nextInt(5))(rnd.nextInt(25).toLong)))
+    assert(rows.exists(r => r._2.distinct.length < r._2.length) && rows.exists(r => r._2 != r._2.sorted))
+    val ledger = TxGen.transactions(spark, ChainParams.atScale(0.002, seed = 4))
+    for (txs <- Seq(mkTxs(rows), ledger.withColumn("accounts", reverse(col("accounts"))))) {
+      val sets = txs.orderBy("txId").select(array_sort(array_distinct(col("accounts")))).collect().map(_.getSeq[Long](0))
+      val offsets = sets.scanLeft(0)(_ + _.length)
+      assert(sameArrays(TxGraph.fromTxs(txs), TxGraph.fromIncidence(offsets, sets.flatten)))
+    }
   }
 
   test("the ledger graph is pinned, and the edge rows rebuild it") {
