@@ -2,14 +2,15 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
+import repro.alloc.ShardScheduler
 import repro.metis.Metis
 import scala.util.hashing.MurmurHash3
 
 /** Pins the exact outputs of the graph build and of every driver-side
-  * allocator on random-weight graphs. The weights are random doubles, so a
-  * change to the order in which duplicate edges are summed moves low bits
-  * and changes these hashes; a refactor that keeps them keeps the mappings
-  * bit-identical.
+  * allocator on random-weight graphs, and the Shard Scheduler's on a random
+  * transaction stream. The weights are random doubles, so a change to the
+  * order in which duplicate edges are summed moves low bits and changes
+  * these hashes; a refactor that keeps them keeps the mappings bit-identical.
   */
 class PinnedOutputSpec extends AnyFunSuite {
 
@@ -78,6 +79,24 @@ class PinnedOutputSpec extends AnyFunSuite {
     val hub = Graph.fromEdges(spokes ++ leaves)
     assert(hex(fp(Metis.partition(hub, 2))) == "0xc2e3f58a")
     assert(hex(fp(Metis.partition(hub, 8))) == "0x6dbbe513")
+  }
+
+  test("Shard Scheduler mapping is pinned") {
+    // A chronological stream over accounts 1..300 with a hub (account 0) in
+    // every 7th transaction and 3- and 4-account transactions mixed in.
+    val rnd = new scala.util.Random(6)
+    val txs = (0 until 3000).map { i =>
+      val size = rnd.nextInt(20) match { case 0 => 3; case 1 => 4; case _ => 2 }
+      val accs = Iterator.continually(1L + rnd.nextInt(300)).distinct.take(size).toArray
+      (i.toLong, if (i % 7 == 0) 0L +: accs.tail else accs)
+    }
+    def schedulerFp(k: Int): Int = {
+      val (m, _) = ShardScheduler.allocate(txs.iterator, k, 2.0)
+      assert(m.size == 301)
+      fp(m.toArray.sortBy(_._1).map(_._2))
+    }
+    assert(hex(schedulerFp(4)) == "0x291cac5e")
+    assert(hex(schedulerFp(8)) == "0xf6946833")
   }
 
   test("merged graph and A-TxAllo mapping after a merge are pinned") {
