@@ -18,8 +18,8 @@ class F10AdaptiveTimeBench extends AnyFunSuite {
 
   test("T10 shape: adaptive steps are much faster than global steps") {
     val runs = BenchData.evolution.runs
-    val gSteps = runs.flatMap(_.steps).filter(_.usedGlobal).map(_.updateMillis.toDouble)
-    val aSteps = runs.flatMap(_.steps).filterNot(_.usedGlobal).map(_.updateMillis.toDouble)
+    val gSteps = runs.flatMap(_.steps).filter(_.usedGlobal).map(_.updateNanos / 1e6)
+    val aSteps = runs.flatMap(_.steps).filterNot(_.usedGlobal).map(_.updateNanos / 1e6)
     assert(gSteps.nonEmpty && aSteps.nonEmpty)
     val gAvg = gSteps.sum / gSteps.size
     val aAvg = aSteps.sum / aSteps.size

@@ -16,7 +16,7 @@ class F3BalanceBench extends AnyFunSuite {
   }
 
   test("T3 shape: Shard Scheduler balances at least as well as METIS and hash") {
-    for (k <- BenchData.sweep.cfg.ks.filter(_ >= 10); eta <- BenchData.sweep.cfg.etas) {
+    for (k <- Sweep.Ks.filter(_ >= 10); eta <- Sweep.Etas) {
       val sched = BenchData.row(Sweep.MethodScheduler, k, eta).rhoNorm
       for (m <- Seq(Sweep.MethodMetis, Sweep.MethodHash)) {
         val other = BenchData.row(m, k, eta).rhoNorm
@@ -37,7 +37,7 @@ class F3BalanceBench extends AnyFunSuite {
     // shard (the paper's own Fig. 4d shows this standing-out shard). That
     // single outlier inflates rho; we assert a bounded factor and document
     // the deviation in EXPERIMENTS.md.
-    for (k <- BenchData.sweep.cfg.ks.filter(_ >= 10); eta <- BenchData.sweep.cfg.etas) {
+    for (k <- Sweep.Ks.filter(_ >= 10); eta <- Sweep.Etas) {
       val tx = BenchData.row(Sweep.MethodTxAllo, k, eta).rhoNorm
       val metis = BenchData.row(Sweep.MethodMetis, k, eta).rhoNorm
       assert(tx <= metis * 4.0 + 0.05, s"k=$k eta=$eta: txallo $tx vs metis $metis")

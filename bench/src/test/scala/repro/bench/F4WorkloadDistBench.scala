@@ -11,7 +11,7 @@ import repro.harness.{Sweep, Tables}
   */
 class F4WorkloadDistBench extends AnyFunSuite {
 
-  private val k = BenchData.sweep.cfg.caseStudyK
+  private val k = Sweep.CaseStudyK
   private val eta = Sweep.CaseStudyEta
 
   private def norm(method: String): Seq[Double] = {

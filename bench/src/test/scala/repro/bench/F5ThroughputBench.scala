@@ -19,7 +19,7 @@ class F5ThroughputBench extends AnyFunSuite {
     // Paper: G-TxAllo ahead of METIS at every k (by ~10% at k=60). Measured:
     // ahead at k >= 40; at k in {10,20} the hub "dump" shard (EXPERIMENTS.md)
     // weighs relatively more and METIS leads by <= 15%.
-    for (k <- BenchData.sweep.cfg.ks; eta <- BenchData.sweep.cfg.etas) {
+    for (k <- Sweep.Ks; eta <- Sweep.Etas) {
       val tx = BenchData.row(Sweep.MethodTxAllo, k, eta).normThroughput
       assert(tx > BenchData.row(Sweep.MethodHash, k, eta).normThroughput,
              s"k=$k eta=$eta: txallo below hash")
@@ -30,8 +30,8 @@ class F5ThroughputBench extends AnyFunSuite {
   }
 
   test("T5 shape: G-TxAllo throughput grows with k") {
-    for (eta <- BenchData.sweep.cfg.etas) {
-      val ks = BenchData.sweep.cfg.ks
+    for (eta <- Sweep.Etas) {
+      val ks = Sweep.Ks
       val thr = ks.map(k => BenchData.row(Sweep.MethodTxAllo, k, eta).normThroughput)
       ks.zip(thr).sliding(2).foreach { case Seq((k1, t1), (k2, t2)) =>
         assert(t2 > t1, s"eta=$eta: throughput not growing from k=$k1 ($t1) to k=$k2 ($t2)")
@@ -40,7 +40,7 @@ class F5ThroughputBench extends AnyFunSuite {
   }
 
   test("T5 shape: larger eta never helps throughput") {
-    for (m <- Sweep.Methods; k <- BenchData.sweep.cfg.ks) {
+    for (m <- Sweep.Methods; k <- Sweep.Ks) {
       val t2 = BenchData.row(m, k, 2.0).normThroughput
       val t10 = BenchData.row(m, k, 10.0).normThroughput
       assert(t10 <= t2 + 1e-6, s"$m k=$k: eta=10 throughput $t10 above eta=2 $t2")
@@ -55,7 +55,7 @@ class F5ThroughputBench extends AnyFunSuite {
       1.0 - BenchData.row(m, k, 10.0).normThroughput / BenchData.row(m, k, 2.0).normThroughput
     assert(drop(Sweep.MethodTxAllo) <= drop(Sweep.MethodMetis) + 0.15,
            s"txallo drop ${drop(Sweep.MethodTxAllo)} vs metis drop ${drop(Sweep.MethodMetis)}")
-    for (eta <- BenchData.sweep.cfg.etas) {
+    for (eta <- Sweep.Etas) {
       val tx = BenchData.row(Sweep.MethodTxAllo, k, eta).normThroughput
       Sweep.Methods.filter(_ != Sweep.MethodTxAllo).foreach { m =>
         assert(tx >= BenchData.row(m, k, eta).normThroughput * 0.98,

@@ -14,7 +14,7 @@ class F6LatencyBench extends AnyFunSuite {
   }
 
   test("T6 shape: G-TxAllo has the best (or tied) average latency") {
-    for (k <- BenchData.sweep.cfg.ks; eta <- BenchData.sweep.cfg.etas) {
+    for (k <- Sweep.Ks; eta <- Sweep.Etas) {
       val tx = BenchData.row(Sweep.MethodTxAllo, k, eta).avgLatency
       for (m <- Seq(Sweep.MethodHash, Sweep.MethodMetis)) {
         val other = BenchData.row(m, k, eta).avgLatency
@@ -24,7 +24,7 @@ class F6LatencyBench extends AnyFunSuite {
   }
 
   test("T6 shape: G-TxAllo average latency stays below ~2 blocks") {
-    for (k <- BenchData.sweep.cfg.ks; eta <- BenchData.sweep.cfg.etas) {
+    for (k <- Sweep.Ks; eta <- Sweep.Etas) {
       val tx = BenchData.row(Sweep.MethodTxAllo, k, eta).avgLatency
       assert(tx < 2.5, s"k=$k eta=$eta: average latency $tx")
     }

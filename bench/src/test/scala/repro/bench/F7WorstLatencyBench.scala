@@ -15,7 +15,7 @@ class F7WorstLatencyBench extends AnyFunSuite {
   }
 
   test("T7 shape: Shard Scheduler has the best (or near-tied) worst-case latency") {
-    for (k <- BenchData.sweep.cfg.ks.filter(_ >= 10); eta <- BenchData.sweep.cfg.etas) {
+    for (k <- Sweep.Ks.filter(_ >= 10); eta <- Sweep.Etas) {
       val sched = BenchData.row(Sweep.MethodScheduler, k, eta).worstLatency
       for (m <- Seq(Sweep.MethodHash, Sweep.MethodMetis)) {
         val other = BenchData.row(m, k, eta).worstLatency
@@ -29,8 +29,8 @@ class F7WorstLatencyBench extends AnyFunSuite {
     // hub "dump" shard (see F3BalanceBench) makes its worst case the largest —
     // a documented deviation (EXPERIMENTS.md). The robust shape: the most
     // loaded shard's latency increases with k for every method.
-    for (m <- Sweep.Methods; eta <- BenchData.sweep.cfg.etas) {
-      val ks = BenchData.sweep.cfg.ks.filter(_ >= 10)
+    for (m <- Sweep.Methods; eta <- Sweep.Etas) {
+      val ks = Sweep.Ks.filter(_ >= 10)
       val ws = ks.map(k => BenchData.row(m, k, eta).worstLatency)
       ks.zip(ws).sliding(2).foreach { case Seq((k1, w1), (k2, w2)) =>
         assert(w2 >= w1 * 0.8, s"$m eta=$eta: worst latency dropped from k=$k1 ($w1) to k=$k2 ($w2)")

@@ -28,7 +28,7 @@ class F8RunningTimeBench extends AnyFunSuite {
   test("T8 shape: G-TxAllo completes within the block interval at bench scale") {
     // Paper Section IV-C: t_r should be below the ~13s Ethereum block time to
     // allow per-block updates; at bench scale G-TxAllo must be well inside.
-    for (eta <- BenchData.sweep.cfg.etas) {
+    for (eta <- Sweep.Etas) {
       val ms = BenchData.row(Sweep.MethodTxAllo, 60, eta).allocNanos / 1e6
       assert(ms < 120000, s"G-TxAllo too slow: $ms ms")
     }

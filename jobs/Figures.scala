@@ -1,7 +1,8 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.harness.{Evolution, EvolutionConfig, Sweep, SweepConfig, Tables}
+import repro.chain.{ChainParams, TxGen}
+import repro.harness.{Evolution, Sweep, Tables}
 
 /** spark-submit entry point for the reproduced tables T2-T10 (paper Figs.
   * 2-10):
@@ -9,9 +10,10 @@ import repro.harness.{Evolution, EvolutionConfig, Sweep, SweepConfig, Tables}
   *   Figures [sf] [T2 ... T10]
   *
   * `sf` is the ledger scale factor (default 0.1, the benchmark scale). The ids
-  * pick the tables, printed in the order given; none means all. One comparison
-  * sweep feeds every requested table of T2-T8 and one evolution study feeds
-  * T9-T10. `SPARK_MASTER` and `SPARK_SHUFFLE_PARTITIONS` set the deployment.
+  * pick the tables, printed in the order given; none means all. Spark
+  * generates the ledger and collects it once; one comparison sweep over it
+  * feeds every requested table of T2-T8 and one evolution study T9-T10.
+  * `SPARK_MASTER` sets the deployment.
   */
 object Figures {
 
@@ -20,11 +22,10 @@ object Figures {
     val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("Figures")
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    lazy val sweep = Sweep.run(spark, SweepConfig(sf = sf))
-    lazy val evolution = Evolution.run(spark, EvolutionConfig(sf = sf))
+    val ledger = TxGen.collectByTxId(TxGen.transactions(spark, ChainParams.atScale(sf)))
+    lazy val sweep = Sweep.run(ledger)
+    lazy val evolution = Evolution.run(ledger)
     for (id <- ids)
       println(Tables.sweepTables.get(id).map(_(sweep)).getOrElse(Tables.evolutionTables(id)(evolution)))
   }

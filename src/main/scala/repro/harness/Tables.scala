@@ -30,10 +30,10 @@ object Tables {
   private def sweepTable(title: String, res: SweepResult, value: SweepRow => Double, decimals: Int = 4): String = {
     val sb = new StringBuilder
     sb ++= s"== $title (nTx=${res.nTx}, nAccounts=${res.nAccounts}) ==\n"
-    for (eta <- res.cfg.etas) {
+    for (eta <- Sweep.Etas) {
       sb ++= s"-- eta = $eta --\n"
       sb ++= f"${"k"}%4s" + Sweep.Methods.map(m => f"$m%11s").mkString + "\n"
-      for (k <- res.cfg.ks) {
+      for (k <- Sweep.Ks) {
         sb ++= f"$k%4d"
         for (m <- Sweep.Methods) {
           val row = res.rows.find(r => r.method == m && r.k == k && r.eta == eta)
@@ -47,8 +47,7 @@ object Tables {
 
   /** T4: per-shard normalized workload (sigma_i / lambda) case study. */
   private def caseStudyTable(res: SweepResult): String = {
-    val k = res.cfg.caseStudyK
-    val eta = Sweep.CaseStudyEta
+    val (k, eta) = (Sweep.CaseStudyK, Sweep.CaseStudyEta)
     val sb = new StringBuilder
     sb ++= s"== T4 per-shard normalized workload sigma_i/lambda (k=$k, eta=$eta) ==\n"
     for (m <- Sweep.Methods) {
@@ -64,10 +63,10 @@ object Tables {
   /** T9: throughput evolution per strategy + per-strategy averages. */
   private def evolutionTable(res: EvolutionResult): String = {
     val sb = new StringBuilder
-    sb ++= s"== T9 throughput evolution (k=${res.cfg.k}, eta=${res.cfg.eta}, " +
-      s"steps=${res.cfg.nSteps}, nTx=${res.nTx}) ==\n"
+    sb ++= s"== T9 throughput evolution (k=${Evolution.K}, eta=${Evolution.Eta}, " +
+      s"steps=${Evolution.Steps}, nTx=${res.nTx}) ==\n"
     sb ++= f"${"step"}%6s" + res.runs.map(r => f"${r.name}%12s").mkString + "\n"
-    for (t <- 0 until res.cfg.nSteps) {
+    for (t <- 0 until Evolution.Steps) {
       sb ++= f"$t%6d"
       for (r <- res.runs) sb ++= f"${r.steps(t).normThroughput}%12.4f"
       sb ++= "\n"
@@ -79,14 +78,14 @@ object Tables {
   /** T10: per-step allocation update time, pure-G vs hybrid/adaptive. */
   private def adaptiveTimeTable(res: EvolutionResult): String = {
     val sb = new StringBuilder
-    sb ++= s"== T10 per-step update time [ms] (bootstrap G-TxAllo: ${res.bootstrapMillis} ms) ==\n"
+    sb ++= f"== T10 per-step update time [ms] (bootstrap G-TxAllo: ${res.bootstrapNanos / 1e6}%.1f ms) ==\n"
     sb ++= f"${"step"}%6s" + res.runs.map(r => f"${r.name}%14s").mkString + "\n"
-    for (t <- 0 until res.cfg.nSteps) {
+    for (t <- 0 until Evolution.Steps) {
       sb ++= f"$t%6d"
       for (r <- res.runs) {
         val s = r.steps(t)
         val tag = if (s.usedGlobal) "G" else "A"
-        sb ++= f"${s.updateMillis}%11d($tag)"
+        sb ++= f"${s.updateNanos / 1e6}%11.1f($tag)"
       }
       sb ++= "\n"
     }

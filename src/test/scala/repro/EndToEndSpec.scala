@@ -2,7 +2,7 @@ package repro
 
 import repro.chain.{ChainParams, TxGen}
 import repro.core.TxGraph
-import repro.harness.{Sweep, SweepConfig}
+import repro.harness.Sweep
 
 /** Full-pipeline integration: the paper's qualitative ordering must hold on
   * the synthetic ledger at test scale (shape reproduction of Figs. 2-5).
@@ -15,11 +15,11 @@ class EndToEndSpec extends SparkSpec {
   private val k = 20
   private val eta = 2.0
   private lazy val p = ChainParams.atScale(0.01)
-  private lazy val sweep =
-    Sweep.run(spark, SweepConfig(sf = 0.01, ks = Seq(k), etas = Seq(eta), caseStudyK = k))
+  private lazy val sweep = Sweep.run(TxGen.collectByTxId(TxGen.transactions(spark, p)))
   private lazy val g = TxGraph.fromTxs(TxGen.transactions(spark, p))
 
-  private def metrics(method: String) = sweep.rows.find(_.method == method).get.metrics
+  private def metrics(method: String) =
+    sweep.rows.find(r => r.method == method && r.k == k && r.eta == eta).get.metrics
   private lazy val hashM = metrics(Sweep.MethodHash)
   private lazy val metisM = metrics(Sweep.MethodMetis)
   private lazy val schedM = metrics(Sweep.MethodScheduler)

@@ -1,54 +1,76 @@
 package repro.harness
 
 import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import repro.SparkSpec
+import repro.chain.{ChainParams, TxGen}
 import repro.jobs.Figures
 
-/** Smoke tests of the table harnesses at tiny scale (the bench project runs
-  * them at SF=0.1 and prints the full tables).
+/** Smoke tests of the table harnesses on the production grid at a tiny
+  * scale (the bench project runs them at SF=0.1 and prints the full tables).
   */
 class HarnessSpec extends SparkSpec {
 
-  private val sweepCfg = SweepConfig(sf = 0.002, ks = Seq(4, 8), etas = Seq(2.0, 6.0), caseStudyK = 4)
-  private val evoCfg = EvolutionConfig(sf = 0.002, k = 4, eta = 2.0, nSteps = 3, hybridGaps = Seq(2))
-
-  private lazy val sweep = Sweep.run(spark, sweepCfg)
-
-  private lazy val evo = Evolution.run(spark, evoCfg)
-
-  /** The number of Spark jobs `body` starts. Listener events arrive
-    * asynchronously but in order, so once a marked job run after `body` has
-    * been seen, so has every job `body` started.
+  /** The smallest scale in steps of 0.001 whose stream after the bootstrap
+    * fills every step: 120 blocks, 108 of them bootstrap, one per step.
     */
-  private def sparkJobs(body: => Unit): Int = {
+  private val Sf = 0.003
+
+  private lazy val ledger = TxGen.collectByTxId(TxGen.transactions(spark, ChainParams.atScale(Sf)))
+
+  private lazy val sweep = Sweep.run(ledger)
+
+  private lazy val evo = Evolution.run(ledger)
+
+  /** The number of Spark jobs `body` starts and the shuffle bytes their tasks
+    * write. Listener events arrive asynchronously but in order, so once a
+    * marked job run after `body` has been seen, so has every job and task end
+    * of `body`.
+    */
+  private def sparkJobs(body: => Unit): (Int, Long) = {
     val sc = spark.sparkContext
     val Marker = "end of the counted jobs"
     val starts = new LinkedBlockingQueue[String]
+    @volatile var shuffleBytes = 0L
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
         starts.put(Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description"))).getOrElse(""))
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        Option(e.taskMetrics).foreach(m => shuffleBytes += m.shuffleWriteMetrics.bytesWritten)
     }
     sc.addSparkListener(listener)
     try {
       body
       sc.setJobDescription(Marker)
       try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
-      Iterator.continually(starts.poll(60, TimeUnit.SECONDS))
+      val jobs = Iterator.continually(starts.poll(60, TimeUnit.SECONDS))
         .takeWhile { d => assert(d != null, "the marked job's start never arrived"); d != Marker }
         .size
+      (jobs, shuffleBytes)
     } finally sc.removeSparkListener(listener)
   }
 
-  test("each harness starts one Spark job: its ledger collect") {
-    assert(sparkJobs(Sweep.run(spark, sweepCfg)) == 1)
-    assert(sparkJobs(Evolution.run(spark, evoCfg)) == 1)
+  test("the harnesses start no Spark job, and Figures starts one, its ledger collect, with no shuffle") {
+    ledger // collected outside the counted bodies
+    assert(sparkJobs(Sweep.run(ledger)) == ((0, 0L)))
+    assert(sparkJobs(Evolution.run(ledger)) == ((0, 0L)))
+    val out = new java.io.ByteArrayOutputStream
+    assert(sparkJobs(Console.withOut(out)(Figures.main(Array(Sf.toString)))) == ((1, 0L)))
+    Tables.ids.foreach(id => assert(out.toString.contains(s"== $id "), s"$id missing from:\n$out"))
+  }
+
+  test("evolution rejects a ledger too short for its steps, naming both counts") {
+    // At SF 0.002 the ledger has 80 blocks: 72 bootstrap and 8 left for 12 steps.
+    val short = TxGen.collectByTxId(TxGen.transactions(spark, ChainParams.atScale(0.002)))
+    val e = intercept[IllegalArgumentException](Evolution.run(short))
+    assert(e.getMessage.contains("8 blocks") && e.getMessage.contains(s"${Evolution.Steps} steps"), e.getMessage)
   }
 
   test("sweep produces one row per (method, k, eta)") {
-    assert(sweep.rows.size == Sweep.Methods.size * 2 * 2)
+    val cells = Sweep.Ks.size * Sweep.Etas.size
+    assert(sweep.rows.size == Sweep.Methods.size * cells)
     Sweep.Methods.foreach { m =>
-      assert(sweep.rows.count(_.method == m) == 4, s"missing rows for $m")
+      assert(sweep.rows.count(_.method == m) == cells, s"missing rows for $m")
     }
   }
 
@@ -65,7 +87,7 @@ class HarnessSpec extends SparkSpec {
   test("sweep tables render every cell") {
     val t2 = Tables.sweepTables("T2")(sweep)
     assert(!t2.contains("         -"), s"missing cell in:\n$t2")
-    assert(t2.contains("eta = 2.0") && t2.contains("eta = 6.0"))
+    Sweep.Etas.foreach(eta => assert(t2.contains(s"eta = $eta")))
     Sweep.Methods.foreach(m => assert(t2.contains(m)))
     val t4 = Tables.sweepTables("T4")(sweep)
     assert(Sweep.Methods.forall(t4.contains))
@@ -74,19 +96,21 @@ class HarnessSpec extends SparkSpec {
   }
 
   test("evolution runs all strategies over all steps") {
-    assert(evo.runs.map(_.name) == Seq("pure-G", "pure-A", "hybrid-g2"))
+    assert(evo.runs.map(_.name) == Seq("pure-G", "pure-A") ++ Evolution.HybridGaps.map(g => s"hybrid-g$g"))
     evo.runs.foreach { r =>
-      assert(r.steps.size == 3)
+      assert(r.steps.size == Evolution.Steps)
       r.steps.foreach { s =>
         assert(s.normThroughput > 0.0)
-        assert(s.updateMillis >= 0)
+        assert(s.updateNanos > 0)
       }
     }
   }
 
   test("hybrid strategy uses the global algorithm exactly every gap steps") {
-    val hybrid = evo.runs.find(_.name == "hybrid-g2").get
-    assert(hybrid.steps.map(_.usedGlobal) == Seq(false, true, false))
+    for (g <- Evolution.HybridGaps) {
+      val hybrid = evo.runs.find(_.name == s"hybrid-g$g").get
+      assert(hybrid.steps.map(_.usedGlobal) == (1 to Evolution.Steps).map(_ % g == 0))
+    }
     val pureG = evo.runs.find(_.name == "pure-G").get
     assert(pureG.steps.forall(_.usedGlobal))
     val pureA = evo.runs.find(_.name == "pure-A").get
