@@ -50,8 +50,13 @@ class HarnessSpec extends SparkSpec {
     } finally sc.removeSparkListener(listener)
   }
 
-  test("the harnesses start no Spark job, and Figures starts one, its ledger collect, with no shuffle") {
-    ledger // collected outside the counted bodies
+  test("each harness starts one Spark job: its ledger collect") {
+    def collected = TxGen.collectByTxId(TxGen.transactions(spark, ChainParams.atScale(Sf)))
+    assert(sparkJobs(Sweep.run(collected)) == ((1, 0L)))
+    assert(sparkJobs(Evolution.run(collected)) == ((1, 0L)))
+    // The one job is the collect: given the ledger, a harness starts none,
+    // and Figures collects once for both.
+    ledger
     assert(sparkJobs(Sweep.run(ledger)) == ((0, 0L)))
     assert(sparkJobs(Evolution.run(ledger)) == ((0, 0L)))
     val out = new java.io.ByteArrayOutputStream
