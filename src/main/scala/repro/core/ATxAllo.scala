@@ -8,7 +8,7 @@ package repro.core
   * join-allocated (Eq. 6) and only new and V-hat nodes are re-optimized
   * (Eq. 8). The paper's step costs O(|V-hat| * k); this one does not yet: it
   * seeds by scanning all n nodes through the `Map`, and every sweep ends with
-  * an O(|E|) `recompute()`, so a step grows with the history (ROADMAP item 4).
+  * an O(|E|) `recompute()`, so a step grows with the history (ROADMAP item 7).
   */
 object ATxAllo {
 

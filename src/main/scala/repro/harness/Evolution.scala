@@ -1,8 +1,9 @@
 package repro.harness
 
+import java.util.IdentityHashMap
 import repro.chain.Incidence
-import repro.core.{ATxAllo, GTxAllo, Graph, TxAlloParams, TxGraph}
-import repro.eval.Metrics
+import repro.core.{ATxAllo, AllocResult, GTxAllo, Graph, TxAlloParams, TxGraph}
+import repro.eval.{Metrics, MetricsResult}
 
 /** One time step of one strategy. */
 final case class StepRecord(normThroughput: Double, updateNanos: Long, usedGlobal: Boolean)
@@ -53,41 +54,50 @@ object Evolution {
     var graph = TxGraph.fromIncidence(blocks(0, trainBlocks), accounts)
     val bootstrap = GTxAllo.run(graph, TxAlloParams.default(graph, K, Eta))
 
-    val strategies: Seq[(String, Option[Int])] =
-      Seq(("pure-G", Some(1)), ("pure-A", None)) ++
-        HybridGaps.map(g => (s"hybrid-g$g", Some(g)))
-    val assigns = Array.fill(strategies.size)(bootstrap.toMap)
-    val records = Array.fill(strategies.size)(Vector.newBuilder[StepRecord])
-
-    for (t <- 0 until Steps) {
-      val lo = trainBlocks + t * stepBlocks
-      val stepOffsets = blocks(lo, lo + stepBlocks)
-      // Each strategy's update time includes the shared step graph, V-hat and
-      // merge, as a deployment's would.
+    /** Step t for strategies holding `prevs`, those with `refresh` set running
+      * G-TxAllo: the merged graph, and per strategy its result and record. As
+      * both algorithms are deterministic, G-TxAllo runs at most once, A-TxAllo
+      * once per distinct previous instance, and each result is evaluated once.
+      * An update time is the shared step work, which a deployment does too,
+      * plus the time of the call used.
+      */
+    def step(t: Int, prevs: Seq[AllocResult], refresh: Seq[Boolean]): (Graph, Seq[(AllocResult, StepRecord)]) = {
+      val offsets = blocks(trainBlocks + t * stepBlocks, trainBlocks + (t + 1) * stepBlocks)
       val t0 = System.nanoTime()
-      val delta = TxGraph.fromIncidence(stepOffsets, accounts)
+      val delta = TxGraph.fromIncidence(offsets, accounts)
       // V-hat, the step's accounts, are the step graph's nodes.
       val active = delta.ids.toSet
-      graph = Graph.merge(graph, TxGraph.edgeRows(delta))
+      val merged = Graph.merge(graph, TxGraph.edgeRows(delta))
       val sharedNanos = System.nanoTime() - t0
-      val p = TxAlloParams.default(graph, K, Eta)
-
-      for (((_, gapOpt), i) <- strategies.zipWithIndex) {
-        val useGlobal = gapOpt.exists(g => (t + 1) % g == 0)
-        val t1 = System.nanoTime()
-        val res =
-          if (useGlobal) GTxAllo.run(graph, p)
-          else ATxAllo.run(graph, assigns(i), active, p)
-        val updateNanos = sharedNanos + System.nanoTime() - t1
-        assigns(i) = res.toMap
-        // res.ids are the merged graph's accounts, so the mapping is complete;
-        // evaluateIncidence rejects a shard outside [0, k).
-        val m = Metrics.evaluateIncidence(stepOffsets, accounts, res.ids, res.assign, K, Eta)
-        records(i) += StepRecord(m.normThroughput, updateNanos, useGlobal)
+      val p = TxAlloParams.default(merged, K, Eta)
+      // res.ids are the merged graph's accounts, so the mapping is complete;
+      // evaluateIncidence rejects a shard outside [0, k).
+      def evaluated(res: AllocResult) = (res, Metrics.evaluateIncidence(offsets, accounts, res.ids, res.assign, K, Eta))
+      lazy val global = evaluated(GTxAllo.run(merged, p))
+      val adapted = new IdentityHashMap[AllocResult, (AllocResult, MetricsResult)]
+      val used = prevs.zip(refresh).map { case (prev, g) =>
+        val (res, m) = if (g) global else adapted.computeIfAbsent(prev, _ => evaluated(ATxAllo.run(merged, prev.toMap, active, p)))
+        (res, StepRecord(m.normThroughput, sharedNanos + res.nanos, g))
       }
+      (merged, used)
     }
 
-    val runs = strategies.zip(records).map { case ((name, _), recs) => StrategyRun(name, recs.result()) }
+    // Untimed warm-up, so that step 0 pays no class loading or JIT compilation.
+    step(0, Seq(bootstrap), Seq(false))
+
+    val strategies: Seq[(String, Option[Int])] =
+      Seq(("pure-G", Some(1)), ("pure-A", None)) ++ HybridGaps.map(g => (s"hybrid-g$g", Some(g)))
+    // Every strategy starts from the one bootstrap instance, so strategies
+    // that hold the same mapping hold the same instance.
+    var prevs = strategies.map(_ => bootstrap)
+    val records = (0 until Steps).map { t =>
+      val (merged, used) = step(t, prevs, strategies.map(_._2.exists(g => (t + 1) % g == 0)))
+      graph = merged
+      prevs = used.map(_._1)
+      used.map(_._2)
+    }
+
+    val runs = strategies.zip(records.transpose).map { case ((name, _), steps) => StrategyRun(name, steps) }
     EvolutionResult(ledger.nTx.toLong, bootstrap.nanos, runs)
   }
 }

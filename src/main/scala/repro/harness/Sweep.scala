@@ -76,14 +76,13 @@ object Sweep {
     }
 
     // Untimed warm-up, so that no timed call pays class loading or JIT compilation.
-    // Hash, a millisecond's work, warms up instead right before each timed call.
-    metis(Ks.head); scheduler(Ks.head); gTxAllo(Ks.head, Etas.head)
+    // Hash goes first: its compilation in the background has the others' seconds to finish.
+    hash(Ks.head); metis(Ks.head); scheduler(Ks.head); gTxAllo(Ks.head, Etas.head)
 
     // Metrics.evaluateIncidence rejects any mapping that breaks Definition 1:
     // an unmapped ledger account, an account mapped twice, a shard outside [0, k).
     val rows = Seq.newBuilder[SweepRow]
     for (k <- Ks) {
-      hash(k)
       val baselines = Seq(hash(k), metis(k), scheduler(k))
       for (eta <- Etas; (m, ((ids, shard), ns)) <- Methods.zip(baselines :+ gTxAllo(k, eta)))
         rows += SweepRow(m, k, eta, Metrics.evaluateIncidence(offsets, accounts, ids, shard, k, eta), ns)

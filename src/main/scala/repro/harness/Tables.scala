@@ -20,8 +20,12 @@ object Tables {
 
   /** T9-T10, both rendered from one evolution study. */
   val evolutionTables: ListMap[String, EvolutionResult => String] = ListMap(
-    ("T9", evolutionTable),
-    ("T10", adaptiveTimeTable))
+    ("T9", res => stepTable(s"T9 throughput evolution (k=${Evolution.K}, eta=${Evolution.Eta}, " +
+                              s"steps=${Evolution.Steps}, nTx=${res.nTx})", res, 12,
+                            s => f"${s.normThroughput}%12.4f", r => f"${r.avgThroughput}%12.4f")),
+    ("T10", res => stepTable(f"T10 per-step update time [ms] (bootstrap G-TxAllo: ${res.bootstrapNanos / 1e6}%.1f ms)", res, 14,
+                             s => f"${s.updateNanos / 1e6}%11.1f(${if (s.usedGlobal) "G" else "A"})",
+                             r => f"${r.avgUpdateMillis}%14.1f")))
 
   /** Every table id, in paper order. */
   val ids: Seq[String] = (sweepTables.keys ++ evolutionTables.keys).toSeq
@@ -60,36 +64,16 @@ object Tables {
     sb.result()
   }
 
-  /** T9: throughput evolution per strategy + per-strategy averages. */
-  private def evolutionTable(res: EvolutionResult): String = {
+  /** T9/T10: one row per step and one column per strategy, each `width`
+    * wide, then a row of the strategies' averages.
+    */
+  private def stepTable(title: String, res: EvolutionResult, width: Int,
+                        cell: StepRecord => String, avg: StrategyRun => String): String = {
     val sb = new StringBuilder
-    sb ++= s"== T9 throughput evolution (k=${Evolution.K}, eta=${Evolution.Eta}, " +
-      s"steps=${Evolution.Steps}, nTx=${res.nTx}) ==\n"
-    sb ++= f"${"step"}%6s" + res.runs.map(r => f"${r.name}%12s").mkString + "\n"
-    for (t <- 0 until Evolution.Steps) {
-      sb ++= f"$t%6d"
-      for (r <- res.runs) sb ++= f"${r.steps(t).normThroughput}%12.4f"
-      sb ++= "\n"
-    }
-    sb ++= f"${"avg"}%6s" + res.runs.map(r => f"${r.avgThroughput}%12.4f").mkString + "\n"
-    sb.result()
-  }
-
-  /** T10: per-step allocation update time, pure-G vs hybrid/adaptive. */
-  private def adaptiveTimeTable(res: EvolutionResult): String = {
-    val sb = new StringBuilder
-    sb ++= f"== T10 per-step update time [ms] (bootstrap G-TxAllo: ${res.bootstrapNanos / 1e6}%.1f ms) ==\n"
-    sb ++= f"${"step"}%6s" + res.runs.map(r => f"${r.name}%14s").mkString + "\n"
-    for (t <- 0 until Evolution.Steps) {
-      sb ++= f"$t%6d"
-      for (r <- res.runs) {
-        val s = r.steps(t)
-        val tag = if (s.usedGlobal) "G" else "A"
-        sb ++= f"${s.updateNanos / 1e6}%11.1f($tag)"
-      }
-      sb ++= "\n"
-    }
-    sb ++= f"${"avg"}%6s" + res.runs.map(r => f"${r.avgUpdateMillis}%14.1f").mkString + "\n"
+    sb ++= s"== $title ==\n"
+    sb ++= f"${"step"}%6s" + res.runs.map(r => s"%${width}s".format(r.name)).mkString + "\n"
+    for (t <- 0 until Evolution.Steps) sb ++= f"$t%6d" + res.runs.map(r => cell(r.steps(t))).mkString + "\n"
+    sb ++= f"${"avg"}%6s" + res.runs.map(avg).mkString + "\n"
     sb.result()
   }
 }

@@ -3,7 +3,9 @@ package repro.harness
 import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import repro.SparkSpec
-import repro.chain.{ChainParams, TxGen}
+import repro.chain.{ChainParams, Incidence, TxGen}
+import repro.core.{ATxAllo, GTxAllo, Graph, TxAlloParams, TxGraph}
+import repro.eval.Metrics
 import repro.jobs.Figures
 
 /** Smoke tests of the table harnesses on the production grid at a tiny
@@ -21,6 +23,8 @@ class HarnessSpec extends SparkSpec {
   private lazy val sweep = Sweep.run(ledger)
 
   private lazy val evo = Evolution.run(ledger)
+
+  private def strategy(name: String): StrategyRun = evo.runs.find(_.name == name).get
 
   /** The number of Spark jobs `body` starts and the shuffle bytes their tasks
     * write. Listener events arrive asynchronously but in order, so once a
@@ -113,18 +117,70 @@ class HarnessSpec extends SparkSpec {
 
   test("hybrid strategy uses the global algorithm exactly every gap steps") {
     for (g <- Evolution.HybridGaps) {
-      val hybrid = evo.runs.find(_.name == s"hybrid-g$g").get
+      val hybrid = strategy(s"hybrid-g$g")
       assert(hybrid.steps.map(_.usedGlobal) == (1 to Evolution.Steps).map(_ % g == 0))
     }
-    val pureG = evo.runs.find(_.name == "pure-G").get
+    val pureG = strategy("pure-G")
     assert(pureG.steps.forall(_.usedGlobal))
-    val pureA = evo.runs.find(_.name == "pure-A").get
+    val pureA = strategy("pure-A")
     assert(pureA.steps.forall(!_.usedGlobal))
   }
 
+  /** The evolution study without shared calls, as a reference: each
+    * strategy runs G- or A-TxAllo itself, from its own `toMap` copy of its
+    * previous mapping, and evaluates its own result. Per strategy, in
+    * `Evolution`'s order, each step's throughput and whether it refreshed.
+    */
+  private def ownCalls(ledger: Incidence): Seq[Seq[(Double, Boolean)]] = {
+    import Evolution._
+    val accounts = ledger.accounts
+    def blocks(lo: Long, hi: Long) = ledger.offsets.slice(ledger.firstTxOf(lo), ledger.firstTxOf(hi) + 1)
+    val nBlocks = ledger.block.last + 1
+    val trainBlocks = (nBlocks * TrainFrac).toLong
+    val stepBlocks = (nBlocks - trainBlocks) / Steps
+    var graph = TxGraph.fromIncidence(blocks(0, trainBlocks), accounts)
+    val bootstrap = GTxAllo.run(graph, TxAlloParams.default(graph, K, Eta))
+    val gaps = Seq(Some(1), None) ++ HybridGaps.map(Some(_))
+    val assigns = Array.fill(gaps.size)(bootstrap.toMap)
+    val records = Array.fill(gaps.size)(Vector.newBuilder[(Double, Boolean)])
+    for (t <- 0 until Steps) {
+      val lo = trainBlocks + t * stepBlocks
+      val stepOffsets = blocks(lo, lo + stepBlocks)
+      val delta = TxGraph.fromIncidence(stepOffsets, accounts)
+      val active = delta.ids.toSet
+      graph = Graph.merge(graph, TxGraph.edgeRows(delta))
+      val p = TxAlloParams.default(graph, K, Eta)
+      for ((gapOpt, i) <- gaps.zipWithIndex) {
+        val useGlobal = gapOpt.exists(g => (t + 1) % g == 0)
+        val res =
+          if (useGlobal) GTxAllo.run(graph, p)
+          else ATxAllo.run(graph, assigns(i), active, p)
+        assigns(i) = res.toMap
+        val m = Metrics.evaluateIncidence(stepOffsets, accounts, res.ids, res.assign, K, Eta)
+        records(i) += ((m.normThroughput, useGlobal))
+      }
+    }
+    records.toSeq.map(_.result())
+  }
+
+  test("every strategy's throughput equals its own calls' exactly, at every step") {
+    assert(evo.runs.map(_.steps.map(s => (s.normThroughput, s.usedGlobal))) == ownCalls(ledger))
+  }
+
+  test("at a refresh step, every refreshing hybrid reports pure-G's one G-TxAllo call") {
+    val pureG = strategy("pure-G").steps
+    for (g <- Evolution.HybridGaps; (s, t) <- strategy(s"hybrid-g$g").steps.zipWithIndex if s.usedGlobal)
+      assert(s.updateNanos == pureG(t).updateNanos, s"hybrid-g$g step $t: ${s.updateNanos} vs ${pureG(t).updateNanos} ns")
+  }
+
+  test("pure-A and hybrid-g10 share every record until hybrid-g10's first refresh") {
+    // hybrid-g10 refreshes first at step 9: both hold the same mapping through step 8.
+    assert(strategy("pure-A").steps.take(9) == strategy("hybrid-g10").steps.take(9))
+  }
+
   test("pure-A throughput stays within 25% of pure-G (paper Fig. 9 shape)") {
-    val pg = evo.runs.find(_.name == "pure-G").get.avgThroughput
-    val pa = evo.runs.find(_.name == "pure-A").get.avgThroughput
+    val pg = strategy("pure-G").avgThroughput
+    val pa = strategy("pure-A").avgThroughput
     assert(pa >= 0.75 * pg, s"pure-A $pa vs pure-G $pg")
   }
 
