@@ -30,14 +30,16 @@ object Figures {
       println(Tables.sweepTables.get(id).map(_(sweep)).getOrElse(Tables.evolutionTables(id)(evolution)))
   }
 
-  /** The scale factor and the table ids. An unknown id is rejected here,
-    * before any Spark work.
+  /** The scale factor and the table ids. An unknown id, and a scale factor
+    * that is not finite and positive, are rejected here, before any Spark
+    * work.
     */
   def parse(args: Array[String]): (Double, Seq[String]) = {
     val sf = args.headOption.flatMap(_.toDoubleOption)
     val ids = args.toSeq.drop(sf.size)
     val unknown = ids.filterNot(Tables.ids.contains)
     require(unknown.isEmpty, s"unknown table id ${unknown.mkString(", ")}; valid ids: ${Tables.ids.mkString(" ")}")
+    sf.foreach(ChainParams.atScale(_))
     (sf.getOrElse(0.1), if (ids.isEmpty) Tables.ids else ids)
   }
 }

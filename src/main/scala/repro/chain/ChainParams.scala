@@ -11,9 +11,13 @@ package repro.chain
   * allocation. Small shares of self-loop and multi-account (3-4 accounts)
   * transactions exercise the 1/pi(Tx) edge-weight splitting.
   *
-  * Everything is deterministic in (params, seed): generation draws Spark
-  * `rand(seed+i)` columns over 32 fixed `spark.range` partitions, then
-  * coalesces them to one partition per core (`TxGen.transactions`).
+  * Everything is deterministic in (params, seed). `TxGen.transactions` draws
+  * each transaction's 12 uniforms in plain Scala over 32 fixed txId range
+  * slices, with the generator and the seeds of Spark's `rand(seed + j)` in
+  * range partition i, and keeps Spark's scalar rules (`StrictMath.pow`,
+  * truncating casts, `pmod`, double division), so the rows equal those
+  * Spark's `rand` columns would give. It then coalesces the slices to one
+  * partition per core.
   *
   * @param nTx          total number of transactions in the ledger
   * @param nAccounts    size of the account universe (upper bound; long-tail
@@ -63,8 +67,11 @@ object ChainParams {
   /** TPC-H-style scale factor: SF=1 is ~6M transactions / ~860K accounts,
     * mirroring the paper's 91.8M-tx / 12.6M-account ratio (~1 account per
     * 7 transactions). Tests use sf=0.01, benchmarks sf=0.1.
+    *
+    * @throws IllegalArgumentException if `sf` is not finite and positive
     */
   def atScale(sf: Double, seed: Long = 42L): ChainParams = {
+    require(sf > 0 && sf < Double.PositiveInfinity, s"scale factor must be finite and positive, got $sf")
     val nTx   = math.max(1000L, (6_000_000L * sf).toLong)
     val nAcc  = math.max(256L, nTx / 7L)
     val nComm = math.max(64, math.min(4096L, nAcc / 40L).toInt)

@@ -111,13 +111,40 @@ class TxGenSpec extends SparkSpec {
   test("the ledger is one partition per core and its rows are pinned") {
     val ledger = TxGen.transactions(spark, ChainParams.atScale(0.002, seed = 4))
     assert(ledger.rdd.getNumPartitions == math.min(32, spark.sparkContext.defaultParallelism))
-    // Recorded from the uncoalesced 32-partition ledger: coalescing moves no
-    // rand() draw out of its range partition.
+    // Recorded from the Catalyst generator (now TxGenReference) over the
+    // uncoalesced 32-partition range: coalescing moves no draw out of its
+    // range slice.
     val flat = ledger.orderBy("txId").collect().flatMap { r =>
       val acc = r.getSeq[Long](2)
       Seq(r.getLong(0), r.getLong(1), acc.length.toLong) ++ acc
     }
     assert(f"0x${MurmurHash3.arrayHash(flat)}%08x" == "0x24ebebee")
+  }
+
+  test("the ledger equals the Catalyst reference row for row and in schema") {
+    for (cp <- Seq(ChainParams.atScale(0.02), ChainParams.atScale(0.02, seed = 7), ChainParams.atScale(0.003),
+                   ChainParams.atScale(0.002, seed = 1), p, ChainParams(nTx = 5, nAccounts = 256, nCommunities = 64),
+                   ChainParams(nTx = 5000, nAccounts = 1000, nCommunities = 64, seed = Long.MaxValue - 20))) {
+      val (ours, ref) = (TxGen.transactions(spark, cp), TxGenReference.transactions(spark, cp))
+      assert(ours.schema == ref.schema, cp)
+      val Seq(a, b) = Seq(ours, ref).map(_.collect().map(r => (r.getLong(0), r.getLong(1), r.getSeq[Long](2))))
+      assert(a.length == cp.nTx && b.length == cp.nTx, cp)
+      a.indices.find(t => a(t) != b(t)).foreach(t => fail(s"$cp: row $t is ${a(t)}, the reference's ${b(t)}"))
+    }
+  }
+
+  test("the draws equal Spark's rand row for row, also where seed + j + i wraps") {
+    val n = 1000L
+    for (s <- Seq(0L, -1L, 42L, Long.MaxValue - 40)) {
+      val sparks = spark.range(0, n, 1, 32).select((0 until TxGen.Draws).map(j => rand(s + j)): _*).collect()
+      val ours = (0 until 32).flatMap { i =>
+        val (from, until) = TxGen.slice(n, i)
+        val gen = TxGen.generators(s, i)
+        (from until until).map(_ => gen.map(_.nextDouble()).toSeq)
+      }
+      assert(ours.length == n)
+      ours.indices.foreach(t => assert(ours(t) == sparks(t).toSeq, s"seed $s, txId $t"))
+    }
   }
 
   test("collectByTxId is the ledger's rows in txId order and rejects rows out of that order") {
@@ -173,6 +200,14 @@ class TxGenSpec extends SparkSpec {
     assert(cp.nTx == 60000)
     assert(cp.nAccounts == cp.nTx / 7)
     assert(cp.nCommunities >= 64)
+  }
+
+  test("atScale rejects a scale factor that is not finite and positive, naming it") {
+    for (sf <- Seq(0.0, -0.0, -1.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val e = intercept[IllegalArgumentException](ChainParams.atScale(sf))
+      assert(e.getMessage.contains(s"got $sf"), e.getMessage)
+    }
+    assert(ChainParams.atScale(Double.MinPositiveValue).nTx == 1000)
   }
 
   test("parameter validation") {

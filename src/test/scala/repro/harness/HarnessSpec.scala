@@ -210,6 +210,17 @@ class HarnessSpec extends SparkSpec {
     assert(Figures.parse(Array("0.02", "T4")) == ((0.02, Seq("T4"))))
   }
 
+  test("Figures rejects a scale factor that is not finite and positive before any Spark work") {
+    for (sf <- Seq("0", "-1", "NaN", "Infinity", "-Infinity")) {
+      val out = new java.io.ByteArrayOutputStream
+      val e = intercept[IllegalArgumentException] {
+        Console.withOut(out)(Figures.main(Array(sf, "T2")))
+      }
+      assert(e.getMessage.contains(s"got ${sf.toDouble}"), e.getMessage)
+      assert(out.size == 0)
+    }
+  }
+
   test("Figures rejects an unknown id before any Spark work") {
     // T2 comes first: were ids checked only as tables are printed, its sweep
     // would run and print before T11 failed.
